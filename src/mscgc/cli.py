@@ -23,17 +23,7 @@ import numpy as np
 
 from . import data as dio
 from .config import RunConfig, parse_override_args
-from .errors import (
-    CompatibilityError,
-    ConfigError,
-    DimensionError,
-    FormatError,
-    MscgcError,
-    NumericalError,
-    UndefinedMetricError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import CompatibilityError, ConfigError, MscgcError, NumericalError, VerificationError
 from .gradcheck import TOLERANCE, run_gradcheck
 from .interpret import export_all
 from .model import ABLATION_VARIANTS, MscgcKanModel
@@ -70,12 +60,11 @@ def write_metrics(report, json_path, csv_path) -> None:
         writer.writerow(row)
 
 
-def load_bundle(data_dir, cfg: RunConfig):
+def load_split(data_dir, cfg: RunConfig):
+    """Load a dataset, fill the geometry keys the config leaves open, and split it."""
     dataset = dio.load_dataset(data_dir)
     cfg.inherit_from_meta(dataset.meta)
-    split = dio.split_dataset(dataset.meta, cfg["data.protocol"], cfg["data.ratios"])
-    bundle = DatasetBundle(dataset.samples, dataset.labels, split, cfg["model.M"])
-    return dataset, bundle
+    return dataset, dio.split_dataset(dataset.meta, cfg["data.protocol"], cfg["data.ratios"])
 
 
 def cmd_gen_data(args) -> int:
@@ -95,7 +84,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
-    dataset, bundle = load_bundle(args.data, cfg)
+    dataset, split = load_split(args.data, cfg)
+    bundle = DatasetBundle(dataset.samples, dataset.labels, split, cfg["model.M"])
     run_dir = make_run_dir(args.out, args.run_name)
     cfg.echo(run_dir / "effective.json",
              extra={"command": "train", "data_dir": str(args.data)})
@@ -113,9 +103,7 @@ def cmd_train(args, overrides) -> int:
 def cmd_eval(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
-    dataset = dio.load_dataset(args.data)
-    cfg.inherit_from_meta(dataset.meta)
-    split = dio.split_dataset(dataset.meta, cfg["data.protocol"], cfg["data.ratios"])
+    dataset, split = load_split(args.data, cfg)
     run_dir = make_run_dir(args.out, args.run_name)
     cfg.echo(run_dir / "effective.json",
              extra={"command": "eval", "checkpoint": str(args.checkpoint),
@@ -168,9 +156,7 @@ def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
 
 def cmd_ablate(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
-    dataset = dio.load_dataset(args.data)
-    cfg.inherit_from_meta(dataset.meta)
-    split = dio.split_dataset(dataset.meta, cfg["data.protocol"], cfg["data.ratios"])
+    dataset, split = load_split(args.data, cfg)
     run_dir = make_run_dir(args.out, args.run_name)
     seeds = [int(s) for s in args.seeds.split(",")]
     cfg.echo(run_dir / "effective.json",
@@ -187,9 +173,7 @@ def cmd_ablate(args, overrides) -> int:
             writer.writerow([
                 row["config"],
                 ";".join(str(s) for s in row["seeds"]),
-                repr(row.get("ba", "")) if "ba" in row else "",
-                repr(row.get("kappa", "")) if "kappa" in row else "",
-                repr(row.get("wf1", "")) if "wf1" in row else "",
+                *(repr(row[key]) if key in row else "" for key in ("ba", "kappa", "wf1")),
                 row.get("config_hash", ""),
                 row["error"] or "",
             ])
@@ -290,16 +274,16 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FormatError, ValidationError, DimensionError, UndefinedMetricError,
-            FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (MscgcError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
+        # every other package error is an input, config or usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

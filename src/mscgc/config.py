@@ -1,54 +1,40 @@
 """Run configuration: flat dotted keys, JSON file plus CLI overrides.
 
-Defaults reproduce the standard training settings exactly (30 epochs, batch
-64, AdamW with weight decay 5e-2, backbone/head learning rates 1e-4/5e-4,
-cosine annealing to 1e-6, clip norm 1.0, dropout 0.1, kernel set {3, 5}).
-Model geometry keys (C, S, P, M) are inherited from a dataset's metadata
-unless explicitly set in the file or on the command line.
+Every `model.<field>` and `train.<field>` key, with its default, is read off
+the `ModelConfig`/`TrainConfig` dataclass fields, so a default is written
+once. Two keys do not map one to one: `train.seed` seeds both the model and
+training, and `train.beta1`/`train.beta2` form `TrainConfig.betas`. Model
+geometry keys (C, S, P, M) are inherited from a dataset's metadata unless
+explicitly set in the file or on the command line.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
 
+
+_MODEL_FIELDS = [f for f in fields(ModelConfig) if f.name != "seed"]
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if f.name != "betas"]
+
 DEFAULTS = {
-    "model.C": 16,
-    "model.S": 10,
-    "model.D": 32,
-    "model.P": 24,
-    "model.M": 4,
-    "model.hidden": 512,
-    "model.out_dim": 64,
-    "model.harmonics": 0,
-    "model.provider": "stub_projection",
-    "model.provider_trainable": True,
-    "model.block": "mcr",
-    "model.kan": "kan",
-    "model.bn_momentum": 0.1,
-    "model.bn_eps": 1e-5,
-    "train.epochs": 30,
-    "train.batch_size": 64,
-    "train.weight_decay": 5e-2,
-    "train.lr_backbone": 1e-4,
-    "train.lr_head": 5e-4,
-    "train.lr_min": 1e-6,
-    "train.clip_norm": 1.0,
-    "train.dropout": 0.1,
-    "train.kernels": [3, 5],
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.adam_eps": 1e-8,
-    "train.seed": 0,
-    "train.decay_biases": False,
-    "train.eval_batch_size": 256,
+    # tuple defaults are stored as lists, the form a JSON config gives back
+    **{f"{prefix}.{f.name}": list(f.default) if isinstance(f.default, tuple) else f.default
+       for prefix, section in (("model", _MODEL_FIELDS), ("train", _TRAIN_FIELDS))
+       for f in section},
+    "train.beta1": TrainConfig.betas[0],
+    "train.beta2": TrainConfig.betas[1],
     "data.protocol": "within_session",
     "data.ratios": [10, 5, 5],
 }
+
+# Keys that moved; using the old name is an error that names the new one.
+RENAMED = {"train.dropout": "model.dropout", "train.kernels": "model.kernels"}
 
 # Keys filled from dataset metadata when the user does not pin them.
 DATA_DERIVED = ("model.C", "model.S", "model.P", "model.M")
@@ -87,63 +73,41 @@ class RunConfig:
 
     @classmethod
     def load(cls, config_path=None, overrides: dict | None = None) -> "RunConfig":
-        values = dict(DEFAULTS)
-        explicit: set = set()
+        cfg = cls(dict(DEFAULTS), set())
         if config_path is not None:
             raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ConfigError("config file must hold a JSON object of dotted keys")
             for key, value in raw.items():
-                if key not in DEFAULTS:
-                    raise ConfigError(f"unknown config key {key!r}")
-                values[key] = _coerce(key, value)
-                explicit.add(key)
+                cfg.set(key, value)
         for key, value in (overrides or {}).items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = _coerce(key, value)
-            explicit.add(key)
-        return cls(values, explicit)
+            cfg.set(key, value)
+        return cfg
 
     def inherit_from_meta(self, meta: dict) -> None:
-        mapping = {"model.C": "C", "model.S": "S", "model.P": "P", "model.M": "M"}
         for key in DATA_DERIVED:
             if key not in self.explicit:
-                self.values[key] = int(meta[mapping[key]])
+                self.values[key] = int(meta[key.split(".", 1)[1]])
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     def set(self, key: str, value) -> None:
+        if key in RENAMED:
+            raise ConfigError(f"config key {key!r} was renamed to {RENAMED[key]!r}")
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         self.values[key] = _coerce(key, value)
         self.explicit.add(key)
 
     def model_config(self) -> ModelConfig:
-        v = self.values
-        return ModelConfig(
-            C=v["model.C"], S=v["model.S"], D=v["model.D"], P=v["model.P"], M=v["model.M"],
-            hidden=v["model.hidden"], out_dim=v["model.out_dim"],
-            kernels=tuple(v["train.kernels"]), dropout=v["train.dropout"],
-            harmonics=v["model.harmonics"], provider=v["model.provider"],
-            provider_trainable=v["model.provider_trainable"],
-            block=v["model.block"], kan=v["model.kan"],
-            bn_momentum=v["model.bn_momentum"], bn_eps=v["model.bn_eps"],
-            seed=v["train.seed"],
-        )
+        return ModelConfig(**{f.name: self.values[f"model.{f.name}"] for f in _MODEL_FIELDS},
+                           seed=self.values["train.seed"])
 
     def train_config(self) -> TrainConfig:
         v = self.values
-        return TrainConfig(
-            epochs=v["train.epochs"], batch_size=v["train.batch_size"],
-            weight_decay=v["train.weight_decay"], lr_backbone=v["train.lr_backbone"],
-            lr_head=v["train.lr_head"], lr_min=v["train.lr_min"],
-            clip_norm=v["train.clip_norm"], dropout=v["train.dropout"],
-            kernels=tuple(v["train.kernels"]), betas=(v["train.beta1"], v["train.beta2"]),
-            adam_eps=v["train.adam_eps"], seed=v["train.seed"],
-            decay_biases=v["train.decay_biases"], eval_batch_size=v["train.eval_batch_size"],
-        )
+        return TrainConfig(**{f.name: v[f"train.{f.name}"] for f in _TRAIN_FIELDS},
+                           betas=(v["train.beta1"], v["train.beta2"]))
 
     def echo(self, path, extra: dict | None = None) -> dict:
         payload = dict(sorted(self.values.items()))

@@ -20,6 +20,8 @@ payload, lossless for float64.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -271,31 +273,45 @@ def write_tensor(path, tensor, name: str = "tensor", dtype: str = "f8") -> None:
         fh.write(np.ascontiguousarray(arr.astype(_DTYPES[dtype])).tobytes())
 
 
-def read_tensor(path, with_header: bool = False):
+def _read_header(fh, magic: bytes, keys: tuple[str, ...]) -> dict:
+    """Check the magic line of an open .mstf/.ckpt file and parse its JSON
+    header line, which must be an object holding `keys`."""
+    found = fh.readline().rstrip(b"\n")
+    if found != magic:
+        raise FormatError(f"bad magic {found!r} at offset 0; expected {magic.decode()!r}")
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unparseable header at offset {len(magic) + 1}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"header at offset {len(magic) + 1} is not a JSON object")
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"header missing key {key!r}")
+    return header
+
+
+def _shape(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in value):
+        raise FormatError(f"{what}: shape {value!r} is not a list of nonnegative ints")
+    return tuple(value)
+
+
+def read_tensor(path):
     with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != MSTF_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0; expected {MSTF_MAGIC.decode()!r}")
-        header_line = fh.readline()
-        offset = len(magic) + 1 + len(header_line)
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"unparseable header at offset {len(magic) + 1}: {exc}") from exc
-        for key in ("dtype", "shape", "name"):
-            if key not in header:
-                raise FormatError(f"header missing key {key!r}")
+        header = _read_header(fh, MSTF_MAGIC, ("dtype", "shape", "name"))
         if header["dtype"] not in _DTYPES:
             raise FormatError(f"unsupported dtype {header['dtype']!r} in header")
         np_dtype = np.dtype(_DTYPES[header["dtype"]])
-        shape = tuple(int(s) for s in header["shape"])
-        expected = int(np.prod(shape, dtype=np.int64)) * np_dtype.itemsize
+        shape = _shape(header["shape"], "tensor header")
+        expected = math.prod(shape) * np_dtype.itemsize
+        offset = fh.tell()
         payload = fh.read()
         if len(payload) != expected:
             raise FormatError(
                 f"payload length {len(payload)} != expected {expected} bytes at offset {offset}")
-    arr = np.frombuffer(payload, dtype=np_dtype).reshape(shape).copy()
-    return (arr, header) if with_header else arr
+    return np.frombuffer(payload, dtype=np_dtype).reshape(shape).copy()
 
 
 # -- datasets on disk --------------------------------------------------------
@@ -333,7 +349,11 @@ def _collect_checkpoint_tensors(model, optimizer=None):
 
 
 def save_checkpoint(path, model, optimizer=None, epoch: int = 0, val_kappa: float = 0.0) -> None:
-    """Persist model parameters, norm buffers, and optimizer state bit-exactly."""
+    """Persist model parameters, norm buffers, and optimizer state bit-exactly.
+
+    The file is written under a temporary name in the same directory and then
+    renamed over `path`, so a failed write leaves any previous checkpoint whole.
+    """
     named = _collect_checkpoint_tensors(model, optimizer)
     header = {
         "config": asdict(model.cfg),
@@ -343,60 +363,71 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, val_kappa: floa
         "tensors": [{"name": n, "dtype": "f8", "shape": list(np.asarray(a).shape)}
                     for n, a in named],
     }
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC + b"\n")
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, arr in named:
-            fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")).tobytes())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC + b"\n")
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for _, arr in named:
+                fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_checkpoint_header(fh) -> dict:
+    header = _read_header(fh, CKPT_MAGIC, ("config", "config_hash", "epoch", "val_kappa", "tensors"))
+    entries = header["tensors"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) for e in entries):
+        raise FormatError("header key 'tensors' is not a list of named entries")
+    for e in entries:
+        _shape(e.get("shape"), f"tensor {e['name']}")
+    return header
 
 
 def read_checkpoint_header(path) -> dict:
     with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0; expected {CKPT_MAGIC.decode()!r}")
-        return json.loads(fh.readline().decode("utf-8"))
+        return _read_checkpoint_header(fh)
+
+
+def _check_config_hash(header: dict, cfg) -> None:
+    if header["config_hash"] != cfg.config_hash():
+        raise CompatibilityError(
+            f"checkpoint config hash {header['config_hash']} does not match "
+            f"model config hash {cfg.config_hash()}")
 
 
 def load_checkpoint(path, model, optimizer=None) -> dict:
     """Restore state saved by save_checkpoint; returns the header."""
     with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n")
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0; expected {CKPT_MAGIC.decode()!r}")
-        header_line = fh.readline()
-        offset = len(magic) + 1 + len(header_line)
-        header = json.loads(header_line.decode("utf-8"))
-        if header["config_hash"] != model.cfg.config_hash():
-            raise CompatibilityError(
-                f"checkpoint config hash {header['config_hash']} does not match "
-                f"model config hash {model.cfg.config_hash()}")
-        loaded = {}
-        for entry in header["tensors"]:
-            shape = tuple(int(s) for s in entry["shape"])
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-            payload = fh.read(nbytes)
-            if len(payload) != nbytes:
-                raise FormatError(f"truncated payload for {entry['name']} at offset {offset}")
-            offset += nbytes
-            loaded[entry["name"]] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        header = _read_checkpoint_header(fh)
+        _check_config_hash(header, model.cfg)
+        sizes = [math.prod(e["shape"]) * 8 for e in header["tensors"]]
+        start = fh.tell()
+        held = os.fstat(fh.fileno()).st_size - start
+        if held != sum(sizes):
+            problem = "truncated payload" if held < sum(sizes) else "trailing bytes"
+            raise FormatError(f"{problem}: header lists {sum(sizes)} payload bytes after "
+                              f"offset {start}, file holds {held}")
+        loaded = {e["name"]: np.frombuffer(fh.read(n), dtype="<f8").reshape(e["shape"]).copy()
+                  for e, n in zip(header["tensors"], sizes)}
 
-    for name, p in model.named_parameters():
-        key = "param." + name
+    # Parameters, buffers and optimizer moments are copied into the live
+    # arrays; the step count is a 0-d copy, so it is set afterwards.
+    for key, target in _collect_checkpoint_tensors(model, optimizer):
         if key not in loaded:
-            raise CompatibilityError(f"checkpoint missing parameter {name}")
-        if loaded[key].shape != p.data.shape:
-            raise CompatibilityError(f"parameter {name}: shape {loaded[key].shape} != {p.data.shape}")
-        p.data[...] = loaded[key]
-    for name, b in model.named_buffers():
-        key = "buffer." + name
-        if key not in loaded:
-            raise CompatibilityError(f"checkpoint missing buffer {name}")
-        b[...] = loaded[key]
+            raise CompatibilityError(f"checkpoint missing {key}")
+        if loaded[key].shape != target.shape:
+            raise CompatibilityError(f"{key}: shape {loaded[key].shape} != {target.shape}")
+        target[...] = loaded[key]
     if optimizer is not None:
-        opt_state = {k[len("opt."):]: v for k, v in loaded.items() if k.startswith("opt.")}
-        if opt_state:
-            optimizer.load_state(opt_state)
+        step = float(loaded["opt.step_count"])
+        if not step.is_integer() or step < 0:
+            raise FormatError(f"optimizer step count {step} is not a nonnegative integer")
+        optimizer.step_count = int(step)
     return header
 
 
@@ -405,7 +436,11 @@ def build_model_from_checkpoint(path):
     from .model import ModelConfig, MscgcKanModel
 
     header = read_checkpoint_header(path)
-    cfg = ModelConfig(**header["config"])
+    try:
+        cfg = ModelConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint holds no valid model config: {exc}") from exc
+    _check_config_hash(header, cfg)
     model = MscgcKanModel(cfg)
     load_checkpoint(path, model)
     return model, header

@@ -58,19 +58,11 @@ def _check_unary(op):
     return run
 
 
-def _check_add(rng):
-    x, y = _rand(rng, 3, 4), _rand(rng, 4)
-    return finite_diff_check(lambda a, b: reduce_sum(add(a, b)), [x, y])
-
-
-def _check_mul(rng):
-    x, y = _rand(rng, 3, 4), _rand(rng, 3, 1)
-    return finite_diff_check(lambda a, b: reduce_sum(mul(a, b)), [x, y])
-
-
-def _check_matmul(rng):
-    a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-    return finite_diff_check(lambda x, y: reduce_sum(matmul(x, y)), [a, b])
+def _check_binary(op, a_shape, b_shape):
+    def run(rng):
+        a, b = _rand(rng, *a_shape), _rand(rng, *b_shape)
+        return finite_diff_check(lambda x, y: reduce_sum(op(x, y)), [a, b])
+    return run
 
 
 def _check_conv1d(rng):
@@ -84,14 +76,11 @@ def _check_pad_concat(rng):
         lambda a, b: reduce_sum(square(concat([pad_left(a, 2), b], axis=-1))), [x, y])
 
 
-def _check_reduce_sum(rng):
-    x = _rand(rng, 2, 3, 4)
-    return finite_diff_check(lambda t: reduce_sum(square(reduce_sum(t, [0, 2]))), x)
-
-
-def _check_reduce_mean(rng):
-    x = _rand(rng, 2, 3, 4)
-    return finite_diff_check(lambda t: reduce_sum(square(reduce_mean(t, [1]))), x)
+def _check_reduce(op, axes):
+    def run(rng):
+        x = _rand(rng, 2, 3, 4)
+        return finite_diff_check(lambda t: reduce_sum(square(op(t, axes))), x)
+    return run
 
 
 def _check_softmax_ce(rng):
@@ -100,11 +89,14 @@ def _check_softmax_ce(rng):
     return finite_diff_check(lambda t: softmax_cross_entropy(t, labels), logits)
 
 
-def _check_linear(rng):
-    layer = LinearLayer(4, 3, rng)
-    x = Tensor(rng.uniform(-2, 2, (5, 4)))
-    return finite_diff_check(lambda w, b: reduce_sum(square(layer(x))),
-                             [layer.weight, layer.bias])
+def _check_layer(build, x_shape):
+    """A parameterized layer applied to a constant input."""
+    def run(rng):
+        layer = build(rng)
+        x = Tensor(rng.uniform(-2, 2, x_shape))
+        return finite_diff_check(lambda *ps: reduce_sum(square(layer(x))),
+                                 [p for _, p in layer.named_parameters()])
+    return run
 
 
 def _check_batch_norm(rng):
@@ -168,20 +160,6 @@ def _check_mcr_block(rng):
     return finite_diff_check(lambda *ps: reduce_sum(square(block(f, "train"))), params)
 
 
-def _check_kan_layer(rng):
-    layer = KanLayer(5, 3, rng, hidden=4)
-    x = Tensor(rng.uniform(-2, 2, (3, 5)))
-    params = [p for _, p in layer.named_parameters()]
-    return finite_diff_check(lambda *ps: reduce_sum(square(layer(x))), params)
-
-
-def _check_classifier(rng):
-    head = ClassifierHead(4, 3, rng)
-    x = Tensor(rng.uniform(-2, 2, (5, 4)))
-    return finite_diff_check(lambda *ps: reduce_sum(square(head(x))),
-                             [p for _, p in head.named_parameters()])
-
-
 def _check_full_model(rng):
     cfg = ModelConfig(C=3, S=4, D=2, P=4, M=3, hidden=8, out_dim=6, dropout=0.0, seed=11)
     model = MscgcKanModel(cfg)
@@ -199,15 +177,15 @@ CHECKS = [
     ("tanh", _check_unary(tanh)),
     ("sin", _check_unary(sin)),
     ("square", _check_unary(square)),
-    ("add", _check_add),
-    ("mul", _check_mul),
-    ("matmul", _check_matmul),
+    ("add", _check_binary(add, (3, 4), (4,))),
+    ("mul", _check_binary(mul, (3, 4), (3, 1))),
+    ("matmul", _check_binary(matmul, (3, 4), (4, 2))),
     ("conv1d", _check_conv1d),
     ("pad_concat", _check_pad_concat),
-    ("reduce_sum", _check_reduce_sum),
-    ("reduce_mean", _check_reduce_mean),
+    ("reduce_sum", _check_reduce(reduce_sum, [0, 2])),
+    ("reduce_mean", _check_reduce(reduce_mean, [1])),
     ("softmax_cross_entropy", _check_softmax_ce),
-    ("linear", _check_linear),
+    ("linear", _check_layer(lambda rng: LinearLayer(4, 3, rng), (5, 4))),
     ("batch_norm", _check_batch_norm),
     ("layer_norm", _check_layer_norm),
     ("causal_branch", _check_causal_branch),
@@ -216,8 +194,8 @@ CHECKS = [
     ("graph_propagate", _check_graph_propagate),
     ("residual_postnorm", _check_residual_postnorm),
     ("mcr_block", _check_mcr_block),
-    ("kan_layer", _check_kan_layer),
-    ("classifier", _check_classifier),
+    ("kan_layer", _check_layer(lambda rng: KanLayer(5, 3, rng, hidden=4), (3, 5))),
+    ("classifier", _check_layer(lambda rng: ClassifierHead(4, 3, rng), (5, 4))),
     ("full_model", _check_full_model),
 ]
 

@@ -113,27 +113,9 @@ class MCRBlock:
         self.post_bn = BatchNorm1d(channels, momentum=bn_momentum, eps=bn_eps)
         self.post_dropout = Dropout(dropout_rate, dropout_rng if dropout_rng is not None else rng)
 
-    def temporal_path(self, f: Tensor, mode: str) -> Tensor:
-        """Multi-scale fusion on the (B*C, D, S) view; exposed for causality checks."""
+    def _temporal_view(self, f: Tensor) -> Tensor:
+        """Check a (B, C, S, D) input and view it as (B*C, D, S) for the branches."""
         f = as_tensor(f)
-        b, c, s, d = self._check_shape(f)
-        t_view = f.transpose((0, 1, 3, 2)).reshape(b * c, d, s)
-        return multiscale_fuse(t_view, self.branches, mode)
-
-    def __call__(self, f: Tensor, mode: str) -> Tensor:
-        check_mode(mode)
-        f = as_tensor(f)
-        b, c, s, d = self._check_shape(f)
-        t_view = f.transpose((0, 1, 3, 2)).reshape(b * c, d, s)
-        fused = multiscale_fuse(t_view, self.branches, mode)
-        o_sp = fused.reshape(b, c, d * s)
-        x_sp = t_view.reshape(b, c, d * s)
-        a_hat = normalize_adjacency(self.adjacency)
-        z = graph_propagate(o_sp, a_hat)
-        h_sp = residual_postnorm(z, x_sp, self.post_bn, self.post_dropout, mode)
-        return h_sp.reshape(b, c, d, s).transpose((0, 1, 3, 2))
-
-    def _check_shape(self, f: Tensor):
         if f.ndim != 4:
             raise DimensionError(f"block expects (B, C, S, D), got {f.shape}")
         b, c, s, d = f.shape
@@ -141,7 +123,26 @@ class MCRBlock:
             raise DimensionError(f"block configured for C={self.channels}, got C={c}")
         if d != self.feat_dim:
             raise DimensionError(f"block configured for D={self.feat_dim}, got D={d}")
-        return b, c, s, d
+        return f.transpose((0, 1, 3, 2)).reshape(b * c, d, s)
+
+    def temporal_path(self, f: Tensor, mode: str) -> Tensor:
+        """Multi-scale fusion on the (B*C, D, S) view; exposed for causality checks."""
+        return multiscale_fuse(self._temporal_view(f), self.branches, mode)
+
+    def __call__(self, f: Tensor, mode: str) -> Tensor:
+        check_mode(mode)
+        f = as_tensor(f)
+        # The residual adds the (B*C, D, S) view itself, so the view is taken
+        # once here; temporal_path would take it a second time.
+        t_view = self._temporal_view(f)
+        b, c, s, d = f.shape
+        fused = multiscale_fuse(t_view, self.branches, mode)
+        o_sp = fused.reshape(b, c, d * s)
+        x_sp = t_view.reshape(b, c, d * s)
+        a_hat = normalize_adjacency(self.adjacency)
+        z = graph_propagate(o_sp, a_hat)
+        h_sp = residual_postnorm(z, x_sp, self.post_bn, self.post_dropout, mode)
+        return h_sp.reshape(b, c, d, s).transpose((0, 1, 3, 2))
 
     def named_parameters(self, prefix: str = ""):
         named = []

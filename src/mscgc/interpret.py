@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError, ValidationError
 from .graph import normalize_adjacency
-from .kan import BASIS_NAMES, KanLayer
+from .kan import KanLayer, basis_expand
 from .model import MscgcKanModel
 from .tensor import Tensor, as_tensor, reduce_sum
 
@@ -62,9 +62,7 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
         raise ValidationError(f"gradcam expects a single sample, got batch {x.shape[0]}")
     if not 0 <= target_class < model.cfg.M:
         raise ValidationError(f"target class {target_class} outside [0, {model.cfg.M})")
-    prior = model.mode
-    model.set_mode("eval")
-    try:
+    with model.eval_mode():
         model.zero_grads()
         logits = model.forward(x)
         h = model.last_block_output
@@ -72,8 +70,6 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
         mask[0, target_class] = 1.0
         target = reduce_sum(logits * Tensor(mask))
         target.backward()
-    finally:
-        model.set_mode(prior)
     grad = h.grad if h.grad is not None else np.zeros_like(h.data)
     act = h.data[0]          # (C, S, D)
     alpha = grad[0].mean(axis=1)                          # (C, D), pooled over windows
@@ -91,32 +87,30 @@ def _rescale(cam: np.ndarray) -> np.ndarray:
 
 
 def kan_basis_importance(model: MscgcKanModel, probe_batch=None, bins: int = 20):
-    """Mean |weight| of the output projection per basis group, plus response
-    histograms of each basis over an optional probe batch."""
+    """Mean |weight| of the output projection per basis group (in the order of
+    `model.kan.basis_names`), plus response histograms of each basis over an
+    optional probe batch."""
     kan = model.kan
     if not isinstance(kan, KanLayer):
         raise UsageError("model uses an affine mapping; no basis groups to analyze")
     w = np.abs(kan.out_proj.weight.data)
     hidden = kan.hidden
-    importance = np.array([w[:, g * hidden:(g + 1) * hidden].mean() for g in range(4)])
+    groups = [slice(g * hidden, (g + 1) * hidden) for g in range(kan.num_bases)]
+    importance = np.array([w[:, group].mean() for group in groups])
     histograms = None
     if probe_batch is not None:
         x = as_tensor(probe_batch)
         if x.ndim == 4:
             # raw samples: run them through provider and block first
-            prior = model.mode
-            model.set_mode("eval")
-            try:
+            with model.eval_mode():
                 model.forward(x)
-            finally:
-                model.set_mode(prior)
             flat = model.last_block_output.reshape(
                 x.shape[0], model.cfg.C * model.cfg.S * model.cfg.D)
         else:
             flat = x
-        h = kan.hidden_activations(flat).data
-        responses = {"h": h, "h2": h * h, "sin": np.sin(h), "tanh": np.tanh(h)}
-        histograms = {name: np.histogram(vals.ravel(), bins=bins) for name, vals in responses.items()}
+        responses = basis_expand(kan.hidden_activations(flat), kan.harmonics).data
+        histograms = {name: np.histogram(responses[:, group].ravel(), bins=bins)
+                      for name, group in zip(kan.basis_names, groups)}
     return importance, histograms
 
 
@@ -131,9 +125,7 @@ def channel_activation(model: MscgcKanModel, samples, labels, batch_size: int = 
     m, c = model.cfg.M, model.cfg.C
     sums = np.zeros((m, c))
     counts = np.zeros(m, dtype=np.int64)
-    prior = model.mode
-    model.set_mode("eval")
-    try:
+    with model.eval_mode():
         for start in range(0, len(samples), batch_size):
             batch = samples[start:start + batch_size]
             model.forward(batch)
@@ -142,8 +134,6 @@ def channel_activation(model: MscgcKanModel, samples, labels, batch_size: int = 
             for cls, row in zip(labels[start:start + batch_size], per_sample):
                 sums[cls] += row
                 counts[cls] += 1
-    finally:
-        model.set_mode(prior)
     empty = [cls for cls in range(m) if counts[cls] == 0]
     for cls in empty:
         warnings.warn(f"class {cls} has no samples; activation row omitted")
@@ -185,7 +175,7 @@ def export_all(model: MscgcKanModel, samples, labels, out_dir, max_saliency_samp
 
     importance, _ = kan_basis_importance(model)
     _write_csv(out_dir / "kan_importance.csv", ["basis", "importance"],
-               [[name, repr(float(importance[g]))] for g, name in enumerate(BASIS_NAMES)])
+               [[name, repr(float(value))] for name, value in zip(model.kan.basis_names, importance)])
 
     activation, empty = channel_activation(model, samples, labels)
     rows = [[cls, ch, repr(float(activation[cls, ch]))]

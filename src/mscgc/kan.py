@@ -3,8 +3,9 @@
 The mapping projects flattened features to a hidden vector, layer-normalizes,
 applies SiLU, expands with the fixed basis [h, h^2, sin h, tanh h] (in that
 order, so serialized weights stay portable), and linearly projects to the
-output width. Higher-order harmonics sin(n*h), cos(n*h) can be switched on
-for n in 2..3; they are appended after the four core bases.
+output width. Higher-order harmonics sin(n*h), cos(n*h) for n = 2..`harmonics`
+can be switched on with harmonics 2 or 3; they are appended after the four
+core bases.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from .layers import LinearLayer, layer_norm
 from .tensor import Tensor, as_tensor, concat, cos, silu, sin, square, tanh
 
 BASIS_NAMES = ("h", "h2", "sin", "tanh")
+HARMONICS = (0, 2, 3)
+
+
+def basis_names(harmonics: int = 0) -> tuple[str, ...]:
+    """Names of the groups `basis_expand` concatenates, in order, each `hidden` wide."""
+    if harmonics not in HARMONICS:
+        raise ConfigError(f"harmonics must be one of {HARMONICS}, got {harmonics!r}")
+    return BASIS_NAMES + tuple(f"{f}{n}" for n in range(2, harmonics + 1) for f in ("sin", "cos"))
 
 
 def basis_expand(h: Tensor, harmonics: int = 0) -> Tensor:
@@ -35,14 +44,13 @@ class KanLayer:
                  hidden: int = 512, harmonics: int = 0, ln_eps: float = 1e-5):
         if hidden < 1:
             raise ConfigError(f"hidden width must be positive, got {hidden}")
-        if harmonics not in (0, 1, 2, 3):
-            raise ConfigError(f"harmonics order must be in 0..3, got {harmonics}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden
         self.harmonics = harmonics
         self.ln_eps = ln_eps
-        self.num_bases = 4 + 2 * max(0, harmonics - 1)
+        self.basis_names = basis_names(harmonics)
+        self.num_bases = len(self.basis_names)
         self.in_proj = LinearLayer(in_dim, hidden, rng)
         self.ln_gamma = Tensor(np.ones(hidden), requires_grad=True)
         self.ln_beta = Tensor(np.zeros(hidden), requires_grad=True)

@@ -85,12 +85,21 @@ def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def balanced_accuracy(cm: ConfusionMatrix) -> float:
-    """Mean per-class recall; 0/0 recall counts as 0."""
+def _per_class(cm: ConfusionMatrix):
+    """Per-class (support, predicted count, recall, precision, F1); 0/0 ratios are 0."""
     _check_nonempty(cm)
     tp = np.diag(cm.counts).astype(np.float64)
     support = cm.counts.sum(axis=1).astype(np.float64)
-    return float(_safe_div(tp, support).mean())
+    predicted = cm.counts.sum(axis=0).astype(np.float64)
+    recall = _safe_div(tp, support)
+    precision = _safe_div(tp, predicted)
+    f1 = _safe_div(2.0 * precision * recall, precision + recall)
+    return support, predicted, recall, precision, f1
+
+
+def balanced_accuracy(cm: ConfusionMatrix) -> float:
+    """Mean per-class recall; 0/0 recall counts as 0."""
+    return float(_per_class(cm)[2].mean())
 
 
 def cohen_kappa(cm: ConfusionMatrix) -> float:
@@ -106,25 +115,12 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
 
 def weighted_f1(cm: ConfusionMatrix) -> float:
     """Support-weighted mean per-class F1; 0/0 ratios resolve to 0."""
-    _check_nonempty(cm)
-    tp = np.diag(cm.counts).astype(np.float64)
-    support = cm.counts.sum(axis=1).astype(np.float64)
-    predicted = cm.counts.sum(axis=0).astype(np.float64)
-    precision = _safe_div(tp, predicted)
-    recall = _safe_div(tp, support)
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
+    support, _, _, _, f1 = _per_class(cm)
     return float((support / cm.total * f1).sum())
 
 
 def report_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
-    _check_nonempty(cm)
-    tp = np.diag(cm.counts).astype(np.float64)
-    support = cm.counts.sum(axis=1).astype(np.float64)
-    predicted = cm.counts.sum(axis=0).astype(np.float64)
-    recall = _safe_div(tp, support)
-    precision = _safe_div(tp, predicted)
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    flag = bool((support == 0).any() or (predicted == 0).any())
+    support, predicted, recall, precision, f1 = _per_class(cm)
     return MetricsReport(
         balanced_accuracy=balanced_accuracy(cm),
         kappa=cohen_kappa(cm),
@@ -133,7 +129,7 @@ def report_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
         per_class_precision=precision,
         per_class_f1=f1,
         cm=cm,
-        zero_division_flag=flag,
+        zero_division_flag=bool((support == 0).any() or (predicted == 0).any()),
     )
 
 

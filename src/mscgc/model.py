@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .graph import MCRBlock
-from .kan import ClassifierHead, KanLayer
+from .kan import ClassifierHead, KanLayer, basis_names
 from .layers import LinearLayer, check_mode
 from .tensor import Tensor, as_tensor
 
@@ -64,6 +65,7 @@ class ModelConfig:
             raise ConfigError(f"kan must be one of {KAN_MODES}, got {self.kan!r}")
         if self.provider == "file_features" and self.P != self.D:
             raise ConfigError(f"file_features provider requires P == D, got P={self.P}, D={self.D}")
+        basis_names(self.harmonics)  # raises ConfigError unless harmonics is 0, 2 or 3
         self.kernels = tuple(int(k) for k in self.kernels)
 
     def config_hash(self) -> str:
@@ -105,10 +107,6 @@ class FeatureProvider:
         return self.stub.named_parameters(prefix + "stub.")
 
 
-def stub_encode(x: Tensor, provider: FeatureProvider) -> Tensor:
-    return provider.encode(x)
-
-
 class MscgcKanModel:
     """Provider -> block -> flatten -> mapping -> classifier."""
 
@@ -136,6 +134,16 @@ class MscgcKanModel:
 
     def set_mode(self, mode: str) -> None:
         self.mode = check_mode(mode)
+
+    @contextmanager
+    def eval_mode(self):
+        """Run the body in eval mode; the prior mode is restored on exit, also on error."""
+        prior = self.mode
+        self.mode = "eval"
+        try:
+            yield self
+        finally:
+            self.mode = prior
 
     def forward(self, x) -> Tensor:
         cfg = self.cfg
@@ -188,14 +196,3 @@ class MscgcKanModel:
         for _, p in self.named_parameters():
             p.zero_grad()
 
-
-def model_forward(x, model: MscgcKanModel) -> Tensor:
-    return model.forward(x)
-
-
-def parameter_groups(model: MscgcKanModel):
-    return model.parameter_groups()
-
-
-def build_model(cfg: ModelConfig) -> MscgcKanModel:
-    return MscgcKanModel(cfg)

@@ -74,10 +74,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        # Shares the buffer; treat the result as read-only.
-        return Tensor(self.data)
-
     def backward(self) -> None:
         """Populate gradients of everything this scalar was computed from."""
         if self.data.size != 1:
@@ -141,12 +137,6 @@ class Tensor:
     def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
         return transpose(self, axes)
 
-    def sum(self, axes=None) -> "Tensor":
-        return reduce(self, axes, "sum")
-
-    def mean(self, axes=None) -> "Tensor":
-        return reduce(self, axes, "mean")
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
 
@@ -156,8 +146,15 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
+def make_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
             backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Construct a tape node with a hand-written backward rule.
+
+    `backward` receives the output gradient and must route input gradients
+    through `accumulate_grad`. The node joins the tape only when some parent
+    requires grad; layers that fuse several primitives into one node use
+    this too, and each such fusion is covered by the finite-difference gate.
+    """
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -167,7 +164,8 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def accumulate_grad(t: Tensor, grad: np.ndarray) -> None:
+    """Add `grad` into t.grad (allocating on first use); no-op unless t requires grad."""
     if not t.requires_grad:
         return
     grad = _unbroadcast(grad, t.data.shape)
@@ -190,65 +188,46 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def make_op(data: np.ndarray, parents: tuple["Tensor", ...], op: str,
-            backward: Callable[[np.ndarray], None]) -> "Tensor":
-    """Construct a differentiable node with a hand-written backward rule.
-
-    `backward` receives the output gradient and must route input gradients
-    through `accumulate_grad`. Used by layers that fuse several primitive
-    ops for speed; each such fusion is covered by the finite-difference gate.
-    """
-    return _result(np.asarray(data, dtype=np.float64), parents, op, backward)
-
-
-def accumulate_grad(t: "Tensor", grad: np.ndarray) -> None:
-    """Add `grad` into t.grad (allocating on first use); no-op unless t requires grad."""
-    _accumulate(t, grad)
-
-
 # -- elementwise ---------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcast(name: str, fn, a, b):
+    """Lift both operands and apply the numpy binary `fn` with broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
     try:
-        data = a.data + b.data
+        return a, b, fn(a.data, b.data)
     except ValueError as exc:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
+        raise DimensionError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    a, b, data = _broadcast("add", np.add, a, b)
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        accumulate_grad(a, g)
+        accumulate_grad(b, g)
 
-    return _result(data, (a, b), "add", backward)
+    return make_op(data, (a, b), "add", backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError as exc:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    a, b, data = _broadcast("sub", np.subtract, a, b)
 
     def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+        accumulate_grad(a, g)
+        accumulate_grad(b, -g)
 
-    return _result(data, (a, b), "sub", backward)
+    return make_op(data, (a, b), "sub", backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    a, b, data = _broadcast("mul", np.multiply, a, b)
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        accumulate_grad(a, g * b.data)
+        accumulate_grad(b, g * a.data)
 
-    return _result(data, (a, b), "mul", backward)
+    return make_op(data, (a, b), "mul", backward)
 
 
 def pow_const(x: Tensor, exponent: float) -> Tensor:
@@ -258,9 +237,9 @@ def pow_const(x: Tensor, exponent: float) -> Tensor:
     data = x.data ** exponent
 
     def backward(g):
-        _accumulate(x, g * exponent * x.data ** (exponent - 1))
+        accumulate_grad(x, g * exponent * x.data ** (exponent - 1))
 
-    return _result(data, (x,), "pow", backward)
+    return make_op(data, (x,), "pow", backward)
 
 
 def elu(x: Tensor) -> Tensor:
@@ -270,9 +249,9 @@ def elu(x: Tensor) -> Tensor:
     data += np.maximum(x.data, 0.0)
 
     def backward(g):
-        _accumulate(x, g * np.exp(np.minimum(x.data, 0.0)))
+        accumulate_grad(x, g * np.exp(np.minimum(x.data, 0.0)))
 
-    return _result(data, (x,), "elu", backward)
+    return make_op(data, (x,), "elu", backward)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -282,9 +261,9 @@ def silu(x: Tensor) -> Tensor:
     data = x.data * sig
 
     def backward(g):
-        _accumulate(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+        accumulate_grad(x, g * sig * (1.0 + x.data * (1.0 - sig)))
 
-    return _result(data, (x,), "silu", backward)
+    return make_op(data, (x,), "silu", backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -292,9 +271,9 @@ def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
     def backward(g):
-        _accumulate(x, g * (1.0 - data * data))
+        accumulate_grad(x, g * (1.0 - data * data))
 
-    return _result(data, (x,), "tanh", backward)
+    return make_op(data, (x,), "tanh", backward)
 
 
 def sin(x: Tensor) -> Tensor:
@@ -302,9 +281,9 @@ def sin(x: Tensor) -> Tensor:
     data = np.sin(x.data)
 
     def backward(g):
-        _accumulate(x, g * np.cos(x.data))
+        accumulate_grad(x, g * np.cos(x.data))
 
-    return _result(data, (x,), "sin", backward)
+    return make_op(data, (x,), "sin", backward)
 
 
 def cos(x: Tensor) -> Tensor:
@@ -312,18 +291,18 @@ def cos(x: Tensor) -> Tensor:
     data = np.cos(x.data)
 
     def backward(g):
-        _accumulate(x, g * -np.sin(x.data))
+        accumulate_grad(x, g * -np.sin(x.data))
 
-    return _result(data, (x,), "cos", backward)
+    return make_op(data, (x,), "cos", backward)
 
 
 def square(x: Tensor) -> Tensor:
     x = as_tensor(x)
 
     def backward(g):
-        _accumulate(x, g * 2.0 * x.data)
+        accumulate_grad(x, g * 2.0 * x.data)
 
-    return _result(x.data * x.data, (x,), "square", backward)
+    return make_op(x.data * x.data, (x,), "square", backward)
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -331,9 +310,9 @@ def absolute(x: Tensor) -> Tensor:
     x = as_tensor(x)
 
     def backward(g):
-        _accumulate(x, g * np.sign(x.data))
+        accumulate_grad(x, g * np.sign(x.data))
 
-    return _result(np.abs(x.data), (x,), "abs", backward)
+    return make_op(np.abs(x.data), (x,), "abs", backward)
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
@@ -342,27 +321,9 @@ def clamp_min(x: Tensor, floor: float) -> Tensor:
     data = np.maximum(x.data, floor)
 
     def backward(g):
-        _accumulate(x, g * (x.data > floor))
+        accumulate_grad(x, g * (x.data > floor))
 
-    return _result(data, (x,), "clamp_min", backward)
-
-
-_ELEMENTWISE = {
-    "elu": elu,
-    "silu": silu,
-    "tanh": tanh,
-    "sin": sin,
-    "square": square,
-    "add": add,
-    "mul": mul,
-}
-
-
-def elementwise(kind: str, *inputs: Tensor) -> Tensor:
-    """Dispatch an elementwise op by name."""
-    if kind not in _ELEMENTWISE:
-        raise ValidationError(f"unknown elementwise kind {kind!r}; expected one of {sorted(_ELEMENTWISE)}")
-    return _ELEMENTWISE[kind](*inputs)
+    return make_op(data, (x,), "clamp_min", backward)
 
 
 # -- structural ops -------------------------------------------------------
@@ -377,9 +338,9 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
 
     def backward(g):
-        _accumulate(x, g.reshape(x.data.shape))
+        accumulate_grad(x, g.reshape(x.data.shape))
 
-    return _result(data, (x,), "reshape", backward)
+    return make_op(data, (x,), "reshape", backward)
 
 
 def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -392,9 +353,9 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        _accumulate(x, g.transpose(inverse))
+        accumulate_grad(x, g.transpose(inverse))
 
-    return _result(x.data.transpose(axes), (x,), "transpose", backward)
+    return make_op(x.data.transpose(axes), (x,), "transpose", backward)
 
 
 def pad_left(x: Tensor, amount: int) -> Tensor:
@@ -408,9 +369,9 @@ def pad_left(x: Tensor, amount: int) -> Tensor:
     data = np.pad(x.data, widths)
 
     def backward(g):
-        _accumulate(x, g[..., amount:])
+        accumulate_grad(x, g[..., amount:])
 
-    return _result(data, (x,), "pad_left", backward)
+    return make_op(data, (x,), "pad_left", backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -427,9 +388,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[ax] = slice(lo, hi)
-            _accumulate(t, g[tuple(index)])
+            accumulate_grad(t, g[tuple(index)])
 
-    return _result(data, tuple(tensors), "concat", backward)
+    return make_op(data, tuple(tensors), "concat", backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -445,10 +406,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def backward(g):
-        _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+        accumulate_grad(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
-    return _result(data, (a, b), "matmul", backward)
+    return make_op(data, (a, b), "matmul", backward)
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -479,8 +440,8 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     def backward(g):
         gd = g[None] if squeeze else g
         g2 = np.ascontiguousarray(gd.transpose(0, 2, 1)).reshape(n * t_out, ch_out)
-        _accumulate(bias, g2.sum(axis=0))
-        _accumulate(kernels, (g2.T @ cols).reshape(ch_out, ch_in, k))
+        accumulate_grad(bias, g2.sum(axis=0))
+        accumulate_grad(kernels, (g2.T @ cols).reshape(ch_out, ch_in, k))
         if x.requires_grad:
             # full correlation of the padded output gradient with flipped kernels
             gp = np.zeros((n, ch_out, t + k - 1))
@@ -488,21 +449,17 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             gcols = sliding_window_view(gp, k, axis=-1).transpose(0, 2, 1, 3).reshape(n * t, ch_out * k)
             wf = kernels.data[:, :, ::-1].transpose(0, 2, 1).reshape(ch_out * k, ch_in)
             dx = (gcols @ wf).reshape(n, t, ch_in).transpose(0, 2, 1)
-            _accumulate(x, dx[0] if squeeze else dx)
+            accumulate_grad(x, dx[0] if squeeze else dx)
 
-    return _result(out, (x, kernels, bias), "conv1d", backward)
+    return make_op(out, (x, kernels, bias), "conv1d", backward)
 
 
-def reduce(x: Tensor, axes, kind: str) -> Tensor:
-    """Sum or mean over the given axes; axes=None means all, [] is identity."""
-    if kind not in ("sum", "mean"):
-        raise ValidationError(f"unknown reduce kind {kind!r}")
-    x = as_tensor(x)
+def _reduce_axes(x: Tensor, axes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted nonnegative reduction axes (None means all, [] means none) and
+    the input shape with those axes kept at extent 1."""
     if axes is None:
         axes = list(range(x.ndim))
     axes = [int(a) for a in (axes if isinstance(axes, (list, tuple)) else [axes])]
-    if not axes:
-        return x
     norm = []
     for a in axes:
         a = a + x.ndim if a < 0 else a
@@ -512,25 +469,34 @@ def reduce(x: Tensor, axes, kind: str) -> Tensor:
     if len(set(norm)) != len(norm):
         raise DimensionError(f"reduce: duplicate axes in {axes}")
     ax = tuple(sorted(norm))
-    count = int(np.prod([x.data.shape[a] for a in ax]))
-    data = x.data.sum(axis=ax)
-    if kind == "mean":
-        data = data / count
-    keep_shape = tuple(1 if i in ax else s for i, s in enumerate(x.data.shape))
-
-    def backward(g):
-        expanded = np.broadcast_to(g.reshape(keep_shape), x.data.shape)
-        _accumulate(x, expanded / count if kind == "mean" else expanded.copy())
-
-    return _result(data, (x,), f"reduce_{kind}", backward)
+    return ax, tuple(1 if i in ax else s for i, s in enumerate(x.data.shape))
 
 
 def reduce_sum(x: Tensor, axes=None) -> Tensor:
-    return reduce(x, axes, "sum")
+    """Sum over the given axes; axes=None means all, [] is identity."""
+    x = as_tensor(x)
+    ax, keep_shape = _reduce_axes(x, axes)
+    if not ax:
+        return x
+
+    def backward(g):
+        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape).copy())
+
+    return make_op(x.data.sum(axis=ax), (x,), "reduce_sum", backward)
 
 
 def reduce_mean(x: Tensor, axes=None) -> Tensor:
-    return reduce(x, axes, "mean")
+    """Mean over the given axes; axes=None means all, [] is identity."""
+    x = as_tensor(x)
+    ax, keep_shape = _reduce_axes(x, axes)
+    if not ax:
+        return x
+    count = int(np.prod([x.data.shape[a] for a in ax]))
+
+    def backward(g):
+        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape) / count)
+
+    return make_op(x.data.sum(axis=ax) / count, (x,), "reduce_mean", backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -555,9 +521,9 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         grad = np.exp(log_probs)
         grad[np.arange(b), labels] -= 1.0
-        _accumulate(logits, float(g) * grad / b)
+        accumulate_grad(logits, float(g) * grad / b)
 
-    return _result(np.asarray(data), (logits,), "softmax_cross_entropy", backward)
+    return make_op(np.asarray(data), (logits,), "softmax_cross_entropy", backward)
 
 
 # -- verification ----------------------------------------------------------

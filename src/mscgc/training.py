@@ -37,8 +37,6 @@ class TrainConfig:
     lr_head: float = 5e-4
     lr_min: float = 1e-6
     clip_norm: float = 1.0
-    dropout: float = 0.1
-    kernels: tuple = (3, 5)
     betas: tuple = (0.9, 0.999)
     adam_eps: float = 1e-8
     seed: int = 0
@@ -51,7 +49,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.lr_min > min(self.lr_backbone, self.lr_head):
             raise ConfigError("lr_min must not exceed the base learning rates")
-        self.kernels = tuple(int(k) for k in self.kernels)
         self.betas = tuple(float(b) for b in self.betas)
 
 
@@ -117,9 +114,7 @@ def adamw_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
 class AdamW:
     """Decoupled-weight-decay Adam over named parameter groups."""
 
-    def __init__(self, groups: dict, cfg: TrainConfig, base_lrs: dict | None = None):
-        if base_lrs is None:
-            base_lrs = {"backbone": cfg.lr_backbone, "head": cfg.lr_head}
+    def __init__(self, groups: dict, cfg: TrainConfig):
         self.cfg = cfg
         self.groups = {}
         for group_name, named in groups.items():
@@ -135,7 +130,7 @@ class AdamW:
                     "v": np.zeros_like(p.data),
                     "decay": decay,
                 })
-            self.groups[group_name] = {"base_lr": base_lrs.get(group_name), "entries": entries}
+            self.groups[group_name] = {"entries": entries}
         self.step_count = 0
 
     def all_params(self):
@@ -154,19 +149,14 @@ class AdamW:
                            e["decay"], beta1=b1, beta2=b2, eps=self.cfg.adam_eps)
 
     def named_state(self):
+        """(name, array) pairs to checkpoint. The moments are the live arrays,
+        which load_checkpoint fills in place; the step count is a copy."""
         named = [("step_count", np.asarray(float(self.step_count)))]
         for group in self.groups.values():
             for e in group["entries"]:
                 named.append((f"m.{e['name']}", e["m"]))
                 named.append((f"v.{e['name']}", e["v"]))
         return named
-
-    def load_state(self, state: dict) -> None:
-        self.step_count = int(state["step_count"])
-        for group in self.groups.values():
-            for e in group["entries"]:
-                e["m"][...] = state[f"m.{e['name']}"]
-                e["v"][...] = state[f"v.{e['name']}"]
 
 
 class DatasetBundle:
@@ -203,13 +193,11 @@ class TrainResult:
 
 def predict_labels(model: MscgcKanModel, samples: np.ndarray, batch_size: int = 256) -> np.ndarray:
     """Eval-mode argmax predictions, batched; restores the model's prior mode."""
-    prior = model.mode
-    model.set_mode("eval")
     preds = []
-    for start in range(0, len(samples), batch_size):
-        logits = model.forward(samples[start:start + batch_size])
-        preds.append(np.argmax(logits.data, axis=1))
-    model.set_mode(prior)
+    with model.eval_mode():
+        for start in range(0, len(samples), batch_size):
+            logits = model.forward(samples[start:start + batch_size])
+            preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 

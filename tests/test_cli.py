@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from mscgc.cli import main
-from mscgc.data import read_tensor, write_tensor
+from mscgc.data import read_tensor, save_checkpoint, write_tensor
+from mscgc.model import ModelConfig, MscgcKanModel
 
 TINY_SPEC = {
     "n_subjects": 4,
@@ -120,6 +121,13 @@ class TestTrain:
                      "--train.warmup=5"])
         assert code == 2
 
+    def test_renamed_config_key_exits_2_naming_replacement(self, workspace, tmp_path, capsys):
+        _, _, _, data_dir = workspace
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                     "--train.dropout=0.2"])
+        assert code == 2
+        assert "model.dropout" in capsys.readouterr().err
+
     def test_run_name_collision_exits_2(self, workspace):
         code, _ = run_training(workspace, "dup")
         assert code == 0
@@ -151,6 +159,26 @@ class TestEval:
         metrics = json.loads((tmp_path / "eval" / "e" / "metrics.json").read_text())
         trained = json.loads((run_dir / "metrics.json").read_text())
         assert metrics == trained
+
+
+    @pytest.mark.parametrize("damage", ["bit_flip", "missing_key"])
+    def test_damaged_checkpoint_header_exits_2(self, workspace, tmp_path, damage, capsys):
+        _, _, config_file, data_dir = workspace
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, MscgcKanModel(ModelConfig(C=6, S=8, D=8, P=10, M=2, hidden=12,
+                                                        out_dim=8)))
+        magic, header, payload = ckpt.read_bytes().split(b"\n", 2)
+        if damage == "bit_flip":
+            header = header[:5] + bytes([header[5] ^ 0x80]) + header[6:]
+        else:
+            doc = json.loads(header)
+            del doc["tensors"]
+            header = json.dumps(doc).encode()
+        ckpt.write_bytes(magic + b"\n" + header + b"\n" + payload)
+        code = main(["eval", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestAblate:
@@ -202,6 +230,17 @@ class TestInterpret:
         code = main(["interpret", "--checkpoint", str(run_dir / "best.ckpt"),
                      "--data", str(tmp_path / "od"), "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+    def test_identity_block_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        _, _, _, data_dir = workspace
+        code, run_dir = run_training(workspace, "identity-src", ["--model.block=identity"])
+        assert code == 0
+        capsys.readouterr()
+        code = main(["interpret", "--checkpoint", str(run_dir / "best.ckpt"),
+                     "--data", str(data_dir), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "no graph block" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

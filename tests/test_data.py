@@ -20,7 +20,7 @@ from mscgc.data import (
     split_dataset,
     write_tensor,
 )
-from mscgc.errors import CompatibilityError, ConfigError, FormatError
+from mscgc.errors import CompatibilityError, ConfigError, FormatError, MscgcError
 from mscgc.model import ModelConfig, MscgcKanModel
 from mscgc.training import AdamW, TrainConfig
 
@@ -255,3 +255,89 @@ class TestCheckpoints:
         (tmp_path / "m.ckpt").write_bytes(b"WRONG\n{}\n")
         with pytest.raises(FormatError, match="MSCP1"):
             load_checkpoint(tmp_path / "m.ckpt", self._model())
+
+    def test_mis_shaped_buffer_rejected(self, tmp_path):
+        model = self._model()
+        model.block.post_bn.running_mean = np.zeros(1)  # would broadcast into (C,)
+        save_checkpoint(tmp_path / "m.ckpt", model, epoch=1, val_kappa=0.0)
+        with pytest.raises(CompatibilityError, match="running_mean"):
+            load_checkpoint(tmp_path / "m.ckpt", self._model())
+
+    def test_mis_shaped_optimizer_moment_rejected(self, tmp_path):
+        model = self._model()
+        opt = AdamW(model.parameter_groups(), TrainConfig())
+        opt.groups["head"]["entries"][0]["m"] = np.zeros(1)
+        save_checkpoint(tmp_path / "m.ckpt", model, opt)
+        fresh = self._model()
+        with pytest.raises(CompatibilityError, match="opt.m."):
+            load_checkpoint(tmp_path / "m.ckpt", fresh, AdamW(fresh.parameter_groups(), TrainConfig()))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model(), epoch=1, val_kappa=0.0)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path, self._model())
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        model = self._model()
+        save_checkpoint(path, model, epoch=1, val_kappa=0.0)
+        before = path.read_bytes()
+        # a buffer numpy cannot cast to float64 makes the write fail after
+        # the header and the first tensors are out
+        model.block.post_bn.running_var = np.array(["not a number"] * 4)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model, epoch=2, val_kappa=0.5)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+        assert load_checkpoint(path, self._model())["epoch"] == 1
+
+
+def _mangle(raw: bytes, kind: str, where: int, bit: int) -> bytes:
+    """Truncate, flip one bit, or damage the header line of a saved file."""
+    if kind == "truncate":
+        return raw[:where % len(raw)]
+    if kind == "flip":
+        i = where % len(raw)
+        return raw[:i] + bytes([raw[i] ^ (1 << bit)]) + raw[i + 1:]
+    magic, header, payload = raw.split(b"\n", 2)
+    doc = json.loads(header)
+    if kind == "drop_key":
+        del doc[sorted(doc)[where % len(doc)]]
+    elif kind == "not_object":
+        doc = [doc]
+    elif kind == "bad_shape":
+        shapes = [doc] if "shape" in doc else doc["tensors"]
+        shapes[where % len(shapes)]["shape"] = [[-1], [1.5], "x", [True], None][bit % 5]
+    return magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload
+
+
+class TestCorruptFiles:
+    """Damaged files end in a typed package error, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("clean")
+        cfg = dict(C=3, S=5, D=2, P=3, M=2, hidden=3, out_dim=2, seed=1)
+        save_checkpoint(root / "m.ckpt", MscgcKanModel(ModelConfig(**cfg)), epoch=1)
+        write_tensor(root / "t.mstf", np.arange(6.0).reshape(2, 3))
+        return cfg, (root / "m.ckpt").read_bytes(), (root / "t.mstf").read_bytes()
+
+    @given(kind=st.sampled_from(["truncate", "flip", "drop_key", "not_object", "bad_shape"]),
+           where=st.integers(0, 1 << 20), bit=st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_only_typed_errors(self, saved, tmp_path_factory, kind, where, bit):
+        cfg, ckpt, tensor = saved
+        root = tmp_path_factory.mktemp("bad")
+        (root / "m.ckpt").write_bytes(_mangle(ckpt, kind, where, bit))
+        (root / "t.mstf").write_bytes(_mangle(tensor, kind, where, bit))
+        calls = (lambda: read_tensor(root / "t.mstf"),
+                 lambda: read_checkpoint_header(root / "m.ckpt"),
+                 lambda: load_checkpoint(root / "m.ckpt", MscgcKanModel(ModelConfig(**cfg))),
+                 lambda: build_model_from_checkpoint(root / "m.ckpt"))
+        for call in calls:
+            try:
+                call()
+            except MscgcError:
+                pass

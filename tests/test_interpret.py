@@ -135,6 +135,21 @@ class TestKanBasisImportance:
         importance_after, _ = kan_basis_importance(model)
         np.testing.assert_allclose(importance_before, importance_after, atol=1e-15)
 
+    def test_harmonic_groups_follow_the_layer(self, sample_batch, tmp_path):
+        model = build_model(harmonics=2)
+        names = ["h", "h2", "sin", "tanh", "sin2", "cos2"]
+        importance, hists = kan_basis_importance(model, probe_batch=sample_batch[0])
+        assert importance.shape == (6,)
+        assert list(hists) == names
+        h = model.kan.hidden_activations(
+            model.last_block_output.reshape(12, 4 * 6 * 3)).data
+        counts, _ = hists["cos2"]
+        np.testing.assert_array_equal(counts, np.histogram(np.cos(2 * h), bins=20)[0])
+        export_all(model, *sample_batch, tmp_path, max_saliency_samples=1)
+        with open(tmp_path / "kan_importance.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == names
+
     def test_affine_mapping_rejected(self):
         with pytest.raises(UsageError):
             kan_basis_importance(build_model(kan="affine"))

@@ -70,8 +70,9 @@ class TestKanLayer:
             layer(Tensor(np.zeros((2, 8))))
 
     def test_invalid_harmonics(self, rng):
-        with pytest.raises(ConfigError):
-            KanLayer(4, 2, rng, hidden=4, harmonics=4)
+        for harmonics in (1, 4):
+            with pytest.raises(ConfigError):
+                KanLayer(4, 2, rng, hidden=4, harmonics=harmonics)
 
     def test_gradcheck_through_bases(self, rng):
         layer = KanLayer(5, 3, rng, hidden=4)

@@ -79,6 +79,20 @@ class TestModelForward:
         with pytest.raises(DimensionError, match="provider"):
             model.forward(np.zeros((2, 3, 4, 9)))
 
+    def test_eval_mode_restores_prior_mode_on_error(self):
+        model = MscgcKanModel(tiny_config())
+        model.set_mode("train")
+        with pytest.raises(DimensionError):
+            with model.eval_mode():
+                assert model.mode == "eval"
+                model.forward(np.zeros((2, 3, 4, 9)))
+        assert model.mode == "train"
+
+    def test_harmonics_one_rejected(self):
+        # harmonics=1 would build the harmonics=0 layer under another config hash
+        with pytest.raises(ConfigError, match="harmonics"):
+            tiny_config(harmonics=1)
+
     def test_flatten_round_trip(self):
         model = MscgcKanModel(tiny_config())
         model.set_mode("eval")

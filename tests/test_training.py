@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mscgc.data import SynthSpec, gen_synthetic, split_dataset
-from mscgc.errors import ConfigError, NumericalError
+from mscgc.errors import ConfigError, DimensionError, NumericalError
 from mscgc.model import ModelConfig, MscgcKanModel
 from mscgc.tensor import Tensor
 from mscgc.training import (
@@ -17,6 +17,7 @@ from mscgc.training import (
     adamw_step,
     clip_gradients,
     cosine_lr,
+    predict_labels,
     train_loop,
 )
 
@@ -182,7 +183,7 @@ class TestTrainLoop:
         cfg = ModelConfig(C=c, S=s, D=6, P=p, M=2, hidden=8, out_dim=6,
                           block="identity", kan="affine", dropout=0.0, seed=0)
         result = train_loop(MscgcKanModel(cfg), bundle,
-                            TrainConfig(epochs=30, batch_size=32, seed=0, dropout=0.0,
+                            TrainConfig(epochs=30, batch_size=32, seed=0,
                                         lr_head=5e-3, lr_backbone=1e-3, weight_decay=0.0),
                             tmp_path / "sep.ckpt")
         losses = [r["train_loss"] for r in result.records]
@@ -203,6 +204,15 @@ class TestTrainLoop:
                        tmp_path / "x.ckpt")
 
 
+class TestPredictLabels:
+    def test_restores_mode_after_error(self):
+        _, _, model = tiny_setup()
+        model.set_mode("train")
+        with pytest.raises(DimensionError):
+            predict_labels(model, np.zeros((3, 6, 8, 4)))
+        assert model.mode == "train"
+
+
 class TestTrainConfig:
     def test_defaults_match_reference_settings(self):
         cfg = TrainConfig()
@@ -210,8 +220,7 @@ class TestTrainConfig:
         assert cfg.weight_decay == 5e-2
         assert (cfg.lr_backbone, cfg.lr_head, cfg.lr_min) == (1e-4, 5e-4, 1e-6)
         assert cfg.clip_norm == 1.0
-        assert cfg.dropout == 0.1
-        assert cfg.kernels == (3, 5)
+        assert (ModelConfig().dropout, ModelConfig().kernels) == (0.1, (3, 5))
         assert cfg.betas == (0.9, 0.999)
         assert cfg.adam_eps == 1e-8
 
