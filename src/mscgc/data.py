@@ -333,8 +333,33 @@ def load_dataset(dirpath) -> SynthDataset:
             raise FormatError(f"dataset directory missing {required}")
     samples = read_tensor(dirpath / "samples.mstf")
     labels = read_tensor(dirpath / "labels.mstf").astype(np.int64)
-    meta = json.loads((dirpath / "meta.json").read_text(encoding="utf-8"))
+    meta = _read_meta(dirpath / "meta.json", len(samples))
     return SynthDataset(samples, labels, meta)
+
+
+def _read_meta(path: Path, n_samples: int) -> dict:
+    """Parse meta.json and check the keys that config and splits read.
+
+    JSON decodes integers to `int` and booleans to `bool`, so an exact type
+    test accepts the one and rejects the other.
+    """
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"meta.json is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError("meta.json does not hold a JSON object")
+    for key in ("C", "S", "P", "M"):
+        if type(meta.get(key)) is not int or meta[key] < 1:
+            raise FormatError(f"meta.json: {key!r} is {meta.get(key)!r}, not a positive int")
+    for key in ("subjects", "sessions", "trials"):
+        values = meta.get(key)
+        if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+            raise FormatError(f"meta.json: {key!r} is missing or not a list of ints")
+        if len(values) != n_samples:
+            raise FormatError(f"meta.json: {key!r} has {len(values)} entries "
+                              f"for {n_samples} samples")
+    return meta
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -57,6 +57,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("C", "S", "D", "P", "M", "hidden", "out_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.provider not in PROVIDER_KINDS:
             raise ConfigError(f"provider must be one of {PROVIDER_KINDS}, got {self.provider!r}")
         if self.block not in BLOCK_MODES:

@@ -407,7 +407,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         accumulate_grad(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g))
+        if b.ndim == 2 and not b.data.flags.c_contiguous:
+            # b is a transposed view, e.g. the W.T of a linear layer: form its
+            # gradient as (g^T a)^T, a view whose transpose is row-major, so
+            # W.grad is stored C-contiguous by contiguous copies only
+            accumulate_grad(b, np.matmul(g.swapaxes(-1, -2), a.data).swapaxes(-1, -2))
+        else:
+            accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
     return make_op(data, (a, b), "matmul", backward)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, DimensionError, NumericalError, ValidationError
 from .metrics import MetricsReport, report_from_predictions
 from .model import MscgcKanModel
 from .tensor import softmax_cross_entropy
@@ -75,7 +75,7 @@ def clip_gradients(params, max_norm: float) -> float:
     for p in params:
         if p.grad is not None:
             grads.append(p.grad)
-            sq += float((p.grad * p.grad).sum())
+            sq += float(np.vdot(p.grad, p.grad))
     norm = math.sqrt(sq)
     if not math.isfinite(norm):
         raise NumericalError("non-finite gradient norm")
@@ -86,6 +86,12 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
+# Elements per block of `adamw_step`: 16 Ki float64 = 128 KB per array, so a
+# block of the parameter, its gradient, both moments and two scratch arrays
+# stays in a per-core L2 cache.
+ADAMW_BLOCK = 1 << 14
+
+
 def adamw_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                step: int, lr_t: float, weight_decay: float,
                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -93,22 +99,46 @@ def adamw_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
 
     Computed in the algebraically identical form
     m * c / (sqrt(v) + eps * sqrt(1 - beta2^t)), c = sqrt(1 - beta2^t) / (1 - beta1^t),
-    which avoids materializing the bias-corrected moments.
+    which avoids materializing the bias-corrected moments. The update runs
+    block by block over flat views, ADAMW_BLOCK elements at a time, with the
+    same elementwise operations in the same order as a whole-array update,
+    so the result is bitwise the same. Arrays that are not C-contiguous are
+    updated through contiguous copies that are written back.
     """
+    if grad.shape != value.shape or m.shape != value.shape or v.shape != value.shape:
+        raise DimensionError(f"adamw_step: grad {grad.shape}, m {m.shape} and v {v.shape} "
+                             f"must match the parameter shape {value.shape}")
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in optimizer step")
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
+    state = (value, m, v)
+    work = [a if a.flags.c_contiguous else np.ascontiguousarray(a) for a in state]
+    x, mf, vf = (a.reshape(-1) for a in work)
+    g = np.ascontiguousarray(grad).reshape(-1)
     bc2_sqrt = math.sqrt(1.0 - beta2 ** step)
-    denom = np.sqrt(v)
-    denom += eps * bc2_sqrt
-    update = m / denom
-    update *= lr_t * bc2_sqrt / (1.0 - beta1 ** step)
-    if weight_decay:
-        update += (lr_t * weight_decay) * value
-    value -= update
+    eps_t = eps * bc2_sqrt
+    step_size = lr_t * bc2_sqrt / (1.0 - beta1 ** step)
+    decay = lr_t * weight_decay
+    scratch = np.empty(min(x.size, ADAMW_BLOCK))
+    update = np.empty_like(scratch)
+    for lo in range(0, x.size, ADAMW_BLOCK):
+        hi = min(lo + ADAMW_BLOCK, x.size)
+        gb, mb, vb, xb = g[lo:hi], mf[lo:hi], vf[lo:hi], x[lo:hi]
+        t, u = scratch[:hi - lo], update[:hi - lo]
+        mb *= beta1
+        mb += np.multiply(1.0 - beta1, gb, out=t)
+        vb *= beta2
+        np.multiply(1.0 - beta2, gb, out=t)
+        vb += np.multiply(t, gb, out=t)
+        np.sqrt(vb, out=u)
+        u += eps_t
+        np.divide(mb, u, out=u)
+        u *= step_size
+        if weight_decay:
+            u += np.multiply(decay, xb, out=t)
+        xb -= u
+    for dst, src in zip(state, work):
+        if src is not dst:
+            dst[...] = src
 
 
 class AdamW:

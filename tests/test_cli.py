@@ -128,6 +128,28 @@ class TestTrain:
         assert code == 2
         assert "model.dropout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model.out_dim", "model.D"])
+    def test_zero_geometry_exits_2(self, workspace, tmp_path, key, capsys):
+        _, _, config_file, data_dir = workspace
+        code = main(["train", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "r"), f"--{key}=0"])
+        assert code == 2
+        assert key.split(".")[1] in capsys.readouterr().err
+
+    def test_meta_without_subjects_exits_2(self, workspace, tmp_path, capsys):
+        _, _, config_file, data_dir = workspace
+        damaged = tmp_path / "data"
+        damaged.mkdir()
+        for name in ("samples.mstf", "labels.mstf"):
+            (damaged / name).write_bytes((data_dir / name).read_bytes())
+        meta = json.loads((data_dir / "meta.json").read_text())
+        del meta["subjects"]
+        (damaged / "meta.json").write_text(json.dumps(meta))
+        code = main(["train", "--config", str(config_file), "--data", str(damaged),
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "subjects" in capsys.readouterr().err
+
     def test_run_name_collision_exits_2(self, workspace):
         code, _ = run_training(workspace, "dup")
         assert code == 0

@@ -192,6 +192,58 @@ class TestTensorFiles:
         assert back.meta == ds.meta
 
 
+class TestDatasetMeta:
+    """A damaged meta.json ends in FormatError, never in KeyError or a numpy error."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("meta")
+        save_dataset(root / "data", gen_synthetic(small_spec()))
+        return root / "data"
+
+    def damaged(self, saved, tmp_path, text):
+        for name in ("samples.mstf", "labels.mstf"):
+            (tmp_path / name).write_bytes((saved / name).read_bytes())
+        (tmp_path / "meta.json").write_text(text, encoding="utf-8")
+        return tmp_path
+
+    def edited(self, saved, tmp_path, edit):
+        meta = json.loads((saved / "meta.json").read_text(encoding="utf-8"))
+        edit(meta)
+        return self.damaged(saved, tmp_path, json.dumps(meta))
+
+    @pytest.mark.parametrize("text", ["{", "", "not json", "[1, 2]", "null"])
+    def test_unparseable_or_not_an_object(self, saved, tmp_path, text):
+        with pytest.raises(FormatError, match="meta.json"):
+            load_dataset(self.damaged(saved, tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["subjects", "sessions", "trials", "C", "S", "P", "M"])
+    def test_missing_key(self, saved, tmp_path, key):
+        with pytest.raises(FormatError, match=key):
+            load_dataset(self.edited(saved, tmp_path, lambda meta: meta.pop(key)))
+
+    @pytest.mark.parametrize("key", ["subjects", "sessions", "trials"])
+    @pytest.mark.parametrize("bad", [7, "1,2", [1.5], [True], [[1]], None])
+    def test_not_a_list_of_ints(self, saved, tmp_path, key, bad):
+        def edit(meta):
+            meta[key] = bad if not isinstance(bad, list) else bad + meta[key][1:]
+        with pytest.raises(FormatError, match=key):
+            load_dataset(self.edited(saved, tmp_path, edit))
+
+    @pytest.mark.parametrize("key", ["subjects", "sessions", "trials"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_length_differs_from_sample_count(self, saved, tmp_path, key, change):
+        def edit(meta):
+            meta[key] = meta[key][:-1] if change < 0 else meta[key] + [1]
+        with pytest.raises(FormatError, match=key):
+            load_dataset(self.edited(saved, tmp_path, edit))
+
+    @pytest.mark.parametrize("bad", [0, 2.5, "6", None])
+    def test_bad_geometry(self, saved, tmp_path, bad):
+        with pytest.raises(FormatError, match="C"):
+            load_dataset(self.edited(saved, tmp_path, lambda meta: meta.update(C=bad)))
+
+
 class TestCheckpoints:
     def _model(self, seed=0, **overrides):
         base = dict(C=4, S=6, D=5, P=7, M=3, hidden=6, out_dim=4, seed=seed)

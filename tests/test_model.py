@@ -52,6 +52,12 @@ class TestFeatureProvider:
         with pytest.raises(ConfigError):
             ModelConfig(C=4, S=3, D=5, P=6, M=2, provider="file_features")
 
+    @pytest.mark.parametrize("field", ["C", "S", "D", "P", "M", "hidden", "out_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_geometry_below_one_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value})
+
 
 class TestModelForward:
     def test_low_density_montage_logits(self):

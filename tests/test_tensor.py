@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mscgc.errors import DimensionError, UsageError, ValidationError
+from mscgc.layers import LinearLayer
+from mscgc.model import ModelConfig, MscgcKanModel
 from mscgc.tensor import (
     Tensor,
     clear_gradient_corruption,
@@ -71,6 +73,62 @@ class TestMatmul:
         o = np.random.default_rng(1).normal(size=(4, 2, 5))
         out = matmul(Tensor(a), Tensor(o))
         np.testing.assert_allclose(out.data, np.matmul(a, o), atol=1e-15)
+
+
+class TestGradientLayout:
+    """A weight gradient is stored in its weight's row-major layout.
+
+    A linear layer computes x @ W.T, so the matmul sees W through a transposed
+    view. Its gradient must still reach W.grad C-contiguous and bitwise equal
+    to (x.T @ g).T, the transpose of the plain product.
+    """
+
+    def test_transposed_operand(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(33, 17)))
+        w = Tensor(rng.normal(size=(9, 17)), requires_grad=True)
+        out = matmul(x, w.transpose())
+        g = rng.normal(size=out.shape)
+        reduce_sum(out * Tensor(g)).backward()
+        assert w.grad.flags.c_contiguous
+        assert w.grad.tobytes() == np.ascontiguousarray((x.data.T @ g).T).tobytes()
+
+    def test_batched_input_with_transposed_operand(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(3, 11, 7)))
+        w = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
+        out = matmul(x, w.transpose())
+        g = rng.normal(size=out.shape)
+        reduce_sum(out * Tensor(g)).backward()
+        assert w.grad.flags.c_contiguous
+        np.testing.assert_allclose(w.grad, np.einsum("bij,bik->jk", g, x.data), rtol=1e-12)
+
+    @pytest.mark.parametrize("block", ["mcr", "identity"])
+    @pytest.mark.parametrize("kan", ["kan", "affine"])
+    @pytest.mark.parametrize("harmonics", [0, 2])
+    def test_model_gradients(self, monkeypatch, block, kan, harmonics):
+        calls = []
+        linear_call = LinearLayer.__call__
+
+        def recording_call(layer, x):
+            out = linear_call(layer, x)
+            calls.append((layer, out))
+            return out
+
+        monkeypatch.setattr(LinearLayer, "__call__", recording_call)
+        cfg = ModelConfig(C=4, S=3, D=5, P=6, M=3, hidden=7, out_dim=5, block=block,
+                          kan=kan, harmonics=harmonics, seed=2)
+        model = MscgcKanModel(cfg)
+        x = np.random.default_rng(3).normal(size=(8, 4, 3, 6))
+        softmax_cross_entropy(model.forward(x), np.arange(8) % 3).backward()
+        assert len(calls) == (4 if kan == "kan" else 3)
+        for name, p in model.named_parameters():
+            assert p.grad is not None and p.grad.flags.c_contiguous, name
+        for layer, out in calls:
+            product = out._parents[0]  # x @ W.T, before the bias is added
+            g, x_in = product.grad, product._parents[0].data
+            expected = np.ascontiguousarray((x_in.T @ g).T)
+            assert layer.weight.grad.tobytes() == expected.tobytes()
 
 
 class TestConv1d:

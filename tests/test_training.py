@@ -11,6 +11,7 @@ from mscgc.errors import ConfigError, DimensionError, NumericalError
 from mscgc.model import ModelConfig, MscgcKanModel
 from mscgc.tensor import Tensor
 from mscgc.training import (
+    ADAMW_BLOCK,
     AdamW,
     DatasetBundle,
     TrainConfig,
@@ -79,6 +80,86 @@ class TestAdamWStep:
         assert decays["layer.bias"] == 0.0
 
 
+def whole_array_adamw(value, grad, m, v, step, lr_t, weight_decay,
+                      beta1=0.9, beta2=0.999, eps=1e-8):
+    """The whole-array AdamW update that `adamw_step` computes block by block."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    bc2_sqrt = math.sqrt(1.0 - beta2 ** step)
+    denom = np.sqrt(v)
+    denom += eps * bc2_sqrt
+    update = m / denom
+    update *= lr_t * bc2_sqrt / (1.0 - beta1 ** step)
+    if weight_decay:
+        update += (lr_t * weight_decay) * value
+    value -= update
+
+
+class TestBlockedAdamW:
+    SHAPES = [(1,), (ADAMW_BLOCK - 1,), (ADAMW_BLOCK,), (ADAMW_BLOCK + 1,),
+              (3 * ADAMW_BLOCK + 7,), (40, 33), (7, ADAMW_BLOCK // 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bitwise_equal_to_whole_array_update(self, shape, weight_decay):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        blocked = [rng.normal(size=shape), np.zeros(shape), np.zeros(shape)]
+        whole = [a.copy() for a in blocked]
+        for step in range(1, 6):
+            grad = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2)
+            for update, (value, m, v) in ((adamw_step, blocked), (whole_array_adamw, whole)):
+                update(value, grad, m, v, step, 3e-4, weight_decay,
+                       beta1=0.85, beta2=0.995, eps=1e-7)
+            for a, b in zip(blocked, whole):
+                assert a.tobytes() == b.tobytes()
+
+    def test_nan_in_last_block_leaves_state_untouched(self):
+        n = 3 * ADAMW_BLOCK + 7
+        rng = np.random.default_rng(4)
+        state = [rng.normal(size=n), rng.normal(size=n), rng.random(n)]
+        before = [a.tobytes() for a in state]
+        grad = rng.normal(size=n)
+        grad[-1] = np.nan
+        with pytest.raises(NumericalError):
+            adamw_step(state[0], grad, state[1], state[2], 3, 1e-3, 0.05)
+        assert [a.tobytes() for a in state] == before
+
+    @pytest.mark.parametrize("layout", ["value", "m", "v", "grad", "all"])
+    def test_non_contiguous_arrays_updated_in_place(self, layout):
+        rng = np.random.default_rng(5)
+        shape = (ADAMW_BLOCK // 64 + 3, 70)
+        arrays = {"value": rng.normal(size=shape), "m": rng.normal(size=shape),
+                  "v": rng.random(shape), "grad": rng.normal(size=shape)}
+        expected = {k: a.copy() for k, a in arrays.items()}
+        whole_array_adamw(expected["value"], expected["grad"], expected["m"], expected["v"],
+                          2, 1e-3, 0.05)
+        for name in arrays:
+            if layout in (name, "all"):
+                arrays[name] = np.asfortranarray(arrays[name])
+        adamw_step(arrays["value"], arrays["grad"], arrays["m"], arrays["v"], 2, 1e-3, 0.05)
+        for name in ("value", "m", "v"):
+            np.testing.assert_array_equal(arrays[name], expected[name])
+
+    def test_strided_view_updated_in_place(self):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(50, 60))
+        value = base[::2, 1::3]
+        expected = value.copy()
+        grad, m, v = rng.normal(size=value.shape), np.zeros(value.shape), np.zeros(value.shape)
+        whole_array_adamw(expected, grad, m.copy(), v.copy(), 1, 1e-2, 0.0)
+        untouched = base[1::2].copy()
+        adamw_step(value, grad, m, v, 1, 1e-2, 0.0)
+        np.testing.assert_array_equal(base[::2, 1::3], expected)
+        np.testing.assert_array_equal(base[1::2], untouched)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            adamw_step(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 3)), np.zeros((2, 3)),
+                       1, 1e-3, 0.0)
+
+
 class TestClipGradients:
     def _params(self, grads):
         out = []
@@ -113,6 +194,14 @@ class TestClipGradients:
             clip_gradients(params, 1.0)
             total = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
             assert total <= 1.0 + 1e-12
+
+    def test_norm_matches_sum_of_squares(self):
+        rng = np.random.default_rng(7)
+        grads = [rng.normal(size=(300, 70)), np.asfortranarray(rng.normal(size=(40, 9))),
+                 rng.normal(size=5) * 1e-3, rng.normal(size=(2, 3, 4))[:, ::2]]
+        expected = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        norm = clip_gradients(self._params(grads), 1e9)
+        assert abs(norm - expected) <= 1e-12 * expected
 
     def test_non_finite_aborts(self):
         params = self._params([[np.nan]])
