@@ -3,6 +3,8 @@
 Grammar:
     mscgc <gen-data|train|eval|ablate|interpret|gradcheck> [--config FILE] [--key=value ...]
 
+Only train, eval and ablate read a config; the other commands reject one.
+
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
 3 numerical abort, 4 partial ablation failure. Every command echoes its
 effective configuration and seed into its run directory; run directories
@@ -71,6 +73,8 @@ def cmd_gen_data(args) -> int:
     spec_kwargs = {}
     if args.spec:
         spec_kwargs = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+        if not isinstance(spec_kwargs, dict):
+            raise ConfigError("generator spec must hold a JSON object")
         unknown = set(spec_kwargs) - {f.name for f in dataclasses.fields(dio.SynthSpec)}
         if unknown:
             raise ConfigError(f"unknown generator spec keys: {sorted(unknown)}")
@@ -86,11 +90,12 @@ def cmd_train(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
     dataset, split = load_split(args.data, cfg)
     bundle = DatasetBundle(dataset.samples, dataset.labels, split, cfg["model.M"])
+    # both configs are checked before anything is written
+    model_cfg, train_cfg = cfg.model_config(), cfg.train_config()
     run_dir = make_run_dir(args.out, args.run_name)
     cfg.echo(run_dir / "effective.json",
              extra={"command": "train", "data_dir": str(args.data)})
-    model = MscgcKanModel(cfg.model_config())
-    result = train_loop(model, bundle, cfg.train_config(),
+    result = train_loop(MscgcKanModel(model_cfg), bundle, train_cfg,
                         run_dir / "best.ckpt", run_dir / "log.jsonl")
     write_metrics(result.test_report, run_dir / "metrics.json", run_dir / "metrics.csv")
     print(f"best epoch {result.best_epoch} (val kappa {result.best_val_kappa:.4f}); "
@@ -104,6 +109,7 @@ def cmd_eval(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset, split = load_split(args.data, cfg)
+    cfg.adopt_model_config(model.cfg)
     run_dir = make_run_dir(args.out, args.run_name)
     cfg.echo(run_dir / "effective.json",
              extra={"command": "eval", "checkpoint": str(args.checkpoint),
@@ -157,8 +163,14 @@ def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
 def cmd_ablate(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
     dataset, split = load_split(args.data, cfg)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
+    # check both configs before anything is written
+    cfg.model_config()
+    cfg.train_config()
     run_dir = make_run_dir(args.out, args.run_name)
-    seeds = [int(s) for s in args.seeds.split(",")]
     cfg.echo(run_dir / "effective.json",
              extra={"command": "ablate", "data_dir": str(args.data), "seeds": seeds})
 
@@ -186,7 +198,7 @@ def cmd_ablate(args, overrides) -> int:
     return 4 if any_failed else 0
 
 
-def cmd_interpret(args, overrides) -> int:
+def cmd_interpret(args) -> int:
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset = dio.load_dataset(args.data)
     if dataset.samples.shape[1:] != (model.cfg.C, model.cfg.S, model.cfg.P):
@@ -238,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("train", "eval", "ablate", "interpret"):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config of dotted keys")
+        if name != "interpret":
+            p.add_argument("--config", default=None, help="JSON config of dotted keys")
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--run-name", default=None)
@@ -261,6 +274,8 @@ def main(argv=None) -> int:
     overrides, rest = parse_override_args(argv)
     try:
         args = build_parser().parse_args(rest)
+        if overrides and args.command in ("gen-data", "interpret", "gradcheck"):
+            raise ConfigError(f"{args.command} takes no config keys, got {sorted(overrides)}")
         if args.command == "gen-data":
             return cmd_gen_data(args)
         if args.command == "train":
@@ -270,7 +285,7 @@ def main(argv=None) -> int:
         if args.command == "ablate":
             return cmd_ablate(args, overrides)
         if args.command == "interpret":
-            return cmd_interpret(args, overrides)
+            return cmd_interpret(args)
         if args.command == "gradcheck":
             return cmd_gradcheck(args)
         raise ConfigError(f"unknown command {args.command!r}")

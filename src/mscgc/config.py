@@ -104,6 +104,17 @@ class RunConfig:
         return ModelConfig(**{f.name: self.values[f"model.{f.name}"] for f in _MODEL_FIELDS},
                            seed=self.values["train.seed"])
 
+    def adopt_model_config(self, model_cfg: ModelConfig) -> None:
+        """Take every key that feeds `ModelConfig` (`model.*` and `train.seed`)
+        from `model_cfg`, e.g. a checkpoint's; an explicitly set key that
+        differs from it is an error."""
+        pairs = [(f"model.{f.name}", getattr(model_cfg, f.name)) for f in _MODEL_FIELDS]
+        for key, value in pairs + [("train.seed", model_cfg.seed)]:
+            value = list(value) if isinstance(value, tuple) else value
+            if key in self.explicit and self.values[key] != value:
+                raise ConfigError(f"{key} is {self.values[key]!r} here but {value!r} in the checkpoint")
+            self.values[key] = value
+
     def train_config(self) -> TrainConfig:
         v = self.values
         return TrainConfig(**{f.name: v[f"train.{f.name}"] for f in _TRAIN_FIELDS},

@@ -65,7 +65,18 @@ class SynthSpec:
     sign_flips: bool = True
 
     def __post_init__(self):
-        if self.communities < 1 or self.C < self.communities:
+        for name in ("n_subjects", "trials_per_subject", "sessions_per_subject",
+                     "C", "S", "P", "M", "communities"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("noise_scale", "motif_amp", "community_scale", "latent_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.C < self.communities:
             raise ConfigError(f"need 1 <= communities <= C, got {self.communities} vs C={self.C}")
         if self.S < LONG_MOTIF_LEN:
             raise ConfigError(f"S must be >= {LONG_MOTIF_LEN} to hold the long motif, got {self.S}")
@@ -73,8 +84,6 @@ class SynthSpec:
             raise ConfigError("trials_per_subject must divide evenly into sessions")
         if self.nonlinearity and self.M % 2 != 0:
             raise ConfigError(f"nonlinearity flag requires an even class count, got M={self.M}")
-        if self.M < 1:
-            raise ConfigError("M must be positive")
 
     @property
     def motif_classes(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ValidationError
 from .layers import BatchNorm1d, CausalBranch, Dropout, check_mode
-from .tensor import Tensor, absolute, as_tensor, clamp_min, elu, matmul, reduce_sum
+from .tensor import Tensor, accumulate_grad, as_tensor, elu, make_op, matmul
 
 
 class AdjacencyParams:
@@ -38,7 +38,7 @@ class AdjacencyParams:
 
 
 def normalize_adjacency(params: AdjacencyParams) -> Tensor:
-    """ELU + self-loops + symmetric degree normalization.
+    """ELU + self-loops + symmetric degree normalization, as one tape node.
 
     Degrees use absolute row sums clamped below by eps_deg: ELU makes
     off-diagonal entries of the self-looped matrix lie in (-1, inf), so raw
@@ -51,10 +51,24 @@ def normalize_adjacency(params: AdjacencyParams) -> Tensor:
     if not np.isfinite(a.data).all():
         raise ValidationError("adjacency parameters contain non-finite values")
     c = params.channels
-    tilde = elu(a) + Tensor(np.eye(c))
-    deg = clamp_min(reduce_sum(absolute(tilde), [1]), params.eps_deg)
-    inv_sqrt = deg ** -0.5
-    return inv_sqrt.reshape(c, 1) * tilde * inv_sqrt.reshape(1, c)
+    tilde = np.expm1(np.minimum(a.data, 0.0))
+    tilde += np.maximum(a.data, 0.0)
+    tilde = tilde + np.eye(c)
+    row = np.abs(tilde).sum(axis=1)
+    deg = np.maximum(row, params.eps_deg)
+    r = deg ** -0.5
+    left = r.reshape(c, 1) * tilde
+    out = left * r.reshape(1, c)
+
+    def backward(g):
+        # A_hat_ij = r_i * tilde_ij * r_j with r = max(sum_j |tilde_ij|, eps) ** -0.5
+        g_left = g * r.reshape(1, c)
+        dr = (g * left).sum(axis=0) + (g_left * tilde).sum(axis=1)
+        d_row = dr * -0.5 * deg ** -1.5 * (row > params.eps_deg)
+        d_tilde = g_left * r.reshape(c, 1) + d_row.reshape(c, 1) * np.sign(tilde)
+        accumulate_grad(a, d_tilde * np.exp(np.minimum(a.data, 0.0)))
+
+    return make_op(out, (a,), "normalize_adjacency", backward)
 
 
 def graph_propagate(o: Tensor, a_hat: Tensor) -> Tensor:

@@ -90,27 +90,23 @@ class BatchNorm1d:
             inv = 1.0 / np.sqrt(var + self.eps)
             xhat = centered
             xhat *= inv
-
-            def backward(g):
-                accumulate_grad(gamma, (g * xhat).sum(axis=axes))
-                accumulate_grad(beta, g.sum(axis=axes))
-                if x.requires_grad:
-                    dx = g * gamma_b
-                    m1 = dx.mean(axis=axes, keepdims=True)
-                    m2 = (dx * xhat).mean(axis=axes, keepdims=True)
-                    dx -= m1
-                    dx -= xhat * m2
-                    dx *= inv
-                    accumulate_grad(x, dx)
         else:
             inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(bshape)
             xhat = (x.data - self.running_mean.reshape(bshape)) * inv
 
-            def backward(g):
-                accumulate_grad(gamma, (g * xhat).sum(axis=axes))
-                accumulate_grad(beta, g.sum(axis=axes))
-                if x.requires_grad:
-                    accumulate_grad(x, g * gamma_b * inv)
+        def backward(g):
+            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
+            accumulate_grad(beta, g.sum(axis=axes))
+            if x.requires_grad:
+                dx = g * gamma_b
+                if mode == "train":
+                    # batch statistics depend on x: subtract their two terms
+                    m1 = dx.mean(axis=axes, keepdims=True)
+                    m2 = (dx * xhat).mean(axis=axes, keepdims=True)
+                    dx -= m1
+                    dx -= xhat * m2
+                dx *= inv
+                accumulate_grad(x, dx)
 
         out = xhat * gamma_b
         out += beta.data.reshape(bshape)

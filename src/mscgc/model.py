@@ -36,6 +36,12 @@ ABLATION_VARIANTS = {
 }
 
 
+def _is_kernel_size(k) -> bool:
+    """An integer (an integral float such as 3.0 counts) of at least 1."""
+    return (isinstance(k, (int, float, np.integer, np.floating)) and not isinstance(k, bool)
+            and float(k).is_integer() and k >= 1)
+
+
 @dataclass
 class ModelConfig:
     C: int = 16
@@ -69,7 +75,12 @@ class ModelConfig:
         if self.provider == "file_features" and self.P != self.D:
             raise ConfigError(f"file_features provider requires P == D, got P={self.P}, D={self.D}")
         basis_names(self.harmonics)  # raises ConfigError unless harmonics is 0, 2 or 3
+        if not (isinstance(self.kernels, (list, tuple)) and self.kernels
+                and all(_is_kernel_size(k) for k in self.kernels)):
+            raise ConfigError(f"kernels must be a nonempty list of integers >= 1, got {self.kernels!r}")
         self.kernels = tuple(int(k) for k in self.kernels)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)

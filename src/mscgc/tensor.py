@@ -109,22 +109,11 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
     def __sub__(self, other):
         return sub(self, as_tensor(other))
 
     def __rsub__(self, other):
         return sub(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, Tensor(1.0 / other))
-        return mul(self, pow_const(as_tensor(other), -1.0))
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
@@ -230,18 +219,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(data, (a, b), "mul", backward)
 
 
-def pow_const(x: Tensor, exponent: float) -> Tensor:
-    if not isinstance(exponent, (int, float)):
-        raise UsageError("pow_const supports scalar exponents only")
-    x = as_tensor(x)
-    data = x.data ** exponent
-
-    def backward(g):
-        accumulate_grad(x, g * exponent * x.data ** (exponent - 1))
-
-    return make_op(data, (x,), "pow", backward)
-
-
 def elu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     # expm1(min(x,0)) + max(x,0) equals elu(x) exactly on both branches
@@ -303,27 +280,6 @@ def square(x: Tensor) -> Tensor:
         accumulate_grad(x, g * 2.0 * x.data)
 
     return make_op(x.data * x.data, (x,), "square", backward)
-
-
-def absolute(x: Tensor) -> Tensor:
-    # Subgradient 0 at the kink.
-    x = as_tensor(x)
-
-    def backward(g):
-        accumulate_grad(x, g * np.sign(x.data))
-
-    return make_op(np.abs(x.data), (x,), "abs", backward)
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    # Gradient passes only where the input is strictly above the floor.
-    x = as_tensor(x)
-    data = np.maximum(x.data, floor)
-
-    def backward(g):
-        accumulate_grad(x, g * (x.data > floor))
-
-    return make_op(data, (x,), "clamp_min", backward)
 
 
 # -- structural ops -------------------------------------------------------
@@ -421,15 +377,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid (unpadded) 1-D cross-correlation.
 
-    x: (N, ch_in, T) or (ch_in, T); kernels: (ch_out, ch_in, k); bias: (ch_out,).
+    x: (N, ch_in, T); kernels: (ch_out, ch_in, k); bias: (ch_out,).
     Output time length is T - k + 1; padding is the caller's job.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or kernels.ndim != 3 or bias.ndim != 1:
+    if x.ndim != 3 or kernels.ndim != 3 or bias.ndim != 1:
         raise DimensionError("conv1d expects input (N, ch_in, T), kernels (ch_out, ch_in, k), bias (ch_out,)")
-    n, ch_in, t = xd.shape
+    n, ch_in, t = x.shape
     ch_out, k_in, k = kernels.shape
     if k_in != ch_in or bias.shape[0] != ch_out:
         raise DimensionError(f"conv1d: channel mismatch, input {ch_in} vs kernels {k_in}/{ch_out}")
@@ -437,25 +391,22 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise DimensionError(f"conv1d: kernel size {k} exceeds input length {t}")
     t_out = t - k + 1
     # im2col so every contraction here is a single BLAS call
-    cols = sliding_window_view(xd, k, axis=-1).transpose(0, 2, 1, 3).reshape(n * t_out, ch_in * k)
+    cols = sliding_window_view(x.data, k, axis=-1).transpose(0, 2, 1, 3).reshape(n * t_out, ch_in * k)
     w2 = kernels.data.reshape(ch_out, ch_in * k)
     out = (cols @ w2.T).reshape(n, t_out, ch_out).transpose(0, 2, 1) + bias.data[None, :, None]
-    if squeeze:
-        out = out[0]
 
     def backward(g):
-        gd = g[None] if squeeze else g
-        g2 = np.ascontiguousarray(gd.transpose(0, 2, 1)).reshape(n * t_out, ch_out)
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, ch_out)
         accumulate_grad(bias, g2.sum(axis=0))
         accumulate_grad(kernels, (g2.T @ cols).reshape(ch_out, ch_in, k))
         if x.requires_grad:
             # full correlation of the padded output gradient with flipped kernels
             gp = np.zeros((n, ch_out, t + k - 1))
-            gp[:, :, k - 1:k - 1 + t_out] = gd
+            gp[:, :, k - 1:k - 1 + t_out] = g
             gcols = sliding_window_view(gp, k, axis=-1).transpose(0, 2, 1, 3).reshape(n * t, ch_out * k)
             wf = kernels.data[:, :, ::-1].transpose(0, 2, 1).reshape(ch_out * k, ch_in)
             dx = (gcols @ wf).reshape(n, t, ch_in).transpose(0, 2, 1)
-            accumulate_grad(x, dx[0] if squeeze else dx)
+            accumulate_grad(x, dx)
 
     return make_op(out, (x, kernels, bias), "conv1d", backward)
 

@@ -44,12 +44,20 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        for name in ("lr_backbone", "lr_head", "lr_min"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("epochs", "batch_size", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # written as `not (ok)` so that NaN is rejected too
+        for name in ("lr_backbone", "lr_head", "lr_min", "clip_norm", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.lr_min > min(self.lr_backbone, self.lr_head):
             raise ConfigError("lr_min must not exceed the base learning rates")
         self.betas = tuple(float(b) for b in self.betas)
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas must lie in [0, 1), got {list(self.betas)}")
 
 
 def cosine_lr(step: int, total: int, base: float, lr_min: float) -> float:

@@ -45,6 +45,14 @@ def workspace(tmp_path_factory):
     return root, spec_file, config_file, data_dir
 
 
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """best.ckpt of one TINY_CONFIG run, shared by the tests that only read it."""
+    code, run_dir = run_training(workspace, "shared")
+    assert code == 0
+    return run_dir / "best.ckpt"
+
+
 def run_training(workspace, run_name, extra=()):
     root, _, config_file, data_dir = workspace
     out_dir = root / "runs"
@@ -77,6 +85,15 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "d")]) == 0
         samples = read_tensor(tmp_path / "d" / "samples.mstf")
         assert samples.shape == (36, 32, 10, 10)
+
+    @pytest.mark.parametrize("spec", [[], {"C": "x"}, {"n_subjects": -1},
+                                      {"sessions_per_subject": 0}, {"n_subjects": 0}, {"P": 0}])
+    def test_bad_spec_exits_2_and_writes_nothing(self, tmp_path, spec, capsys):
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps(spec))
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "d").exists()
 
     def test_invalid_spec_exits_2(self, tmp_path):
         spec_file = tmp_path / "bad.json"
@@ -150,6 +167,20 @@ class TestTrain:
         assert code == 2
         assert "subjects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,named", [
+        ("--train.batch_size=0", "batch_size"), ("--train.eval_batch_size=0", "eval_batch_size"),
+        ("--train.epochs=0", "epochs"), ("--train.clip_norm=-1", "clip_norm"),
+        ("--train.beta1=2", "betas"), ('--model.kernels=["a"]', "kernels"),
+        ("--model.kernels=[1.5]", "kernels"), ("--model.dropout=1.5", "dropout")])
+    def test_bad_config_exits_2_before_run_dir(self, workspace, tmp_path, override, named,
+                                               capsys):
+        _, _, config_file, data_dir = workspace
+        code = main(["train", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "r"), "--model.block=identity", override])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_run_name_collision_exits_2(self, workspace):
         code, _ = run_training(workspace, "dup")
         assert code == 0
@@ -182,6 +213,28 @@ class TestEval:
         trained = json.loads((run_dir / "metrics.json").read_text())
         assert metrics == trained
 
+
+    def test_effective_config_is_the_checkpoints(self, workspace, trained, tmp_path):
+        _, _, _, data_dir = workspace
+        code = main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "eval"),
+                     "--run-name", "e", "--checkpoint", str(trained)])
+        assert code == 0
+        effective = json.loads((tmp_path / "eval" / "e" / "effective.json").read_text())
+        assert (effective["model.D"], effective["model.hidden"], effective["model.out_dim"],
+                effective["train.seed"]) == (8, 12, 8, 1)
+
+    @pytest.mark.parametrize("key,given,stored", [("model.hidden", "7", "12"),
+                                                  ("model.block", "identity", "mcr"),
+                                                  ("train.seed", "3", "1")])
+    def test_override_differing_from_checkpoint_exits_2(self, workspace, trained, tmp_path,
+                                                        key, given, stored, capsys):
+        _, _, _, data_dir = workspace
+        code = main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(trained), f"--{key}={given}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and given in err and stored in err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("damage", ["bit_flip", "missing_key"])
     def test_damaged_checkpoint_header_exits_2(self, workspace, tmp_path, damage, capsys):
@@ -221,6 +274,16 @@ class TestAblate:
             assert row[5]  # config hash recorded
 
 
+class TestAblateErrors:
+    def test_non_integer_seeds_exit_2(self, workspace, tmp_path, capsys):
+        _, _, config_file, data_dir = workspace
+        code = main(["ablate", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "ab"), "--seeds=a"])
+        assert code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
+
+
 class TestInterpret:
     def test_exports_five_csvs(self, workspace, tmp_path):
         root, _, config_file, data_dir = workspace
@@ -254,6 +317,22 @@ class TestInterpret:
         assert code == 2
 
 
+    def test_config_file_rejected(self, workspace, trained, tmp_path):
+        _, _, _, data_dir = workspace
+        with pytest.raises(SystemExit) as exc:
+            main(["interpret", "--checkpoint", str(trained), "--data", str(data_dir),
+                  "--out", str(tmp_path / "x"), "--config", "/nonexistent.json"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_config_override_rejected(self, workspace, trained, tmp_path, capsys):
+        _, _, _, data_dir = workspace
+        code = main(["interpret", "--checkpoint", str(trained), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x"), "--train.lr_head=99"])
+        assert code == 2
+        assert "train.lr_head" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_identity_block_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         _, _, _, data_dir = workspace
         code, run_dir = run_training(workspace, "identity-src", ["--model.block=identity"])
@@ -276,6 +355,12 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--corrupt", "elu"]) == 1
         out = capsys.readouterr().out
         assert "elu" in out and "FAIL" in out
+
+    def test_corrupted_adjacency_fails_every_layer_that_uses_it(self, capsys):
+        assert main(["gradcheck", "--corrupt", "normalize_adjacency"]) == 1
+        failed = capsys.readouterr().out.splitlines()[-1]
+        for name in ("normalize_adjacency", "graph_propagate", "mcr_block", "full_model"):
+            assert name in failed
 
     def test_report_covers_each_layer_once(self, capsys):
         main(["gradcheck"])

@@ -49,6 +49,13 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             small_spec(trials_per_subject=41)
 
+    @pytest.mark.parametrize("field", ["n_subjects", "trials_per_subject",
+                                       "sessions_per_subject", "C", "S", "P", "M"])
+    def test_count_fields_must_be_positive_integers(self, field):
+        for value in (0, -1, "x", 2.5, None):
+            with pytest.raises(ConfigError, match=field):
+                small_spec(**{field: value})
+
 
 class TestGenerator:
     def test_seeded_generation_identical(self):

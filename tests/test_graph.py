@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from mscgc.errors import ConfigError, DimensionError, ValidationError
 from mscgc.graph import (
     AdjacencyParams,
@@ -68,6 +71,35 @@ class TestNormalizeAdjacency:
         err = finite_diff_check(lambda a: reduce_sum(square(normalize_adjacency(params))),
                                 params.A)
         assert err < 1e-4
+
+
+class TestAgainstReference:
+    @given(c=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.01, 10.0), clamped=st.integers(0, 255))
+    @settings(max_examples=150, deadline=None)
+    def test_normalize_and_propagate_match_loops(self, c, seed, scale, clamped):
+        rng = np.random.default_rng(seed)
+        params = AdjacencyParams(c)
+        params.A.data[...] = rng.normal(0.0, scale, (c, c))
+        rows = [i for i in range(c) if clamped >> i & 1]
+        for i in rows:
+            # ELU(0) = 0 and ELU(-60) + 1 rounds to 0, so the row's |sum| is 0
+            params.A.data[i, :] = 0.0
+            params.A.data[i, i] = -60.0
+        degrees = reference.clamped_degrees(
+            reference.self_looped_adjacency(params.A.data), params.eps_deg)
+        assert all(degrees[i] == params.eps_deg for i in rows)
+
+        a_hat = normalize_adjacency(params)
+        assert a_hat._op == "normalize_adjacency" and a_hat._parents == (params.A,)
+        expected = reference.normalize_adjacency(params.A.data, params.eps_deg)
+        np.testing.assert_allclose(a_hat.data, expected, rtol=1e-12, atol=1e-12)
+
+        o = rng.normal(0.0, scale, (2, c, 5))
+        z = graph_propagate(Tensor(o), a_hat).data
+        # a sum may cancel, so its error is bounded by the sum of |terms|
+        bound = 1e-12 * (np.abs(expected) @ np.abs(o))
+        assert (np.abs(z - reference.graph_propagate(o, expected)) <= bound).all()
 
 
 class TestGraphPropagate:

@@ -59,6 +59,24 @@ class TestFeatureProvider:
             ModelConfig(**{field: value})
 
 
+    @pytest.mark.parametrize("block", ["mcr", "identity"])
+    @pytest.mark.parametrize("kernels", [[], [0], [-3], [1.5, 2.9], ["a"], [True], 3])
+    def test_bad_kernels_rejected(self, block, kernels):
+        with pytest.raises(ConfigError, match="kernels"):
+            ModelConfig(kernels=kernels, block=block)
+
+    def test_kernels_are_checked_not_truncated(self):
+        with pytest.raises(ConfigError, match="kernels"):
+            ModelConfig(kernels=[1.5, 2.9])
+        assert ModelConfig(kernels=[3.0, 5]).kernels == (3, 5)
+
+    @pytest.mark.parametrize("block", ["mcr", "identity"])
+    @pytest.mark.parametrize("dropout", [1.0, 1.5, -0.1, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, block, dropout):
+        with pytest.raises(ConfigError, match="dropout"):
+            ModelConfig(dropout=dropout, block=block)
+
+
 class TestModelForward:
     def test_low_density_montage_logits(self):
         cfg = ModelConfig(C=32, S=10, D=200, P=200, M=9, hidden=32, out_dim=16, seed=0)

@@ -133,11 +133,11 @@ class TestGradientLayout:
 
 class TestConv1d:
     def test_hand_convolution(self):
-        out = conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]), Tensor([[[0.0, 0.0, 1.0]]]), Tensor([0.0]))
-        np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
+        out = conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]), Tensor([[[0.0, 0.0, 1.0]]]), Tensor([0.0]))
+        np.testing.assert_array_equal(out.data, [[[3.0, 4.0]]])
 
     def test_identity_kernel(self):
-        x = np.random.default_rng(2).normal(size=(1, 6))
+        x = np.random.default_rng(2).normal(size=(1, 1, 6))
         out = conv1d(Tensor(x), Tensor(np.ones((1, 1, 1))), Tensor([0.0]))
         np.testing.assert_array_equal(out.data, x)
 
@@ -147,7 +147,7 @@ class TestConv1d:
 
     def test_kernel_longer_than_input(self):
         with pytest.raises(DimensionError):
-            conv1d(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 1, 3))), Tensor([0.0]))
+            conv1d(Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 1, 3))), Tensor([0.0]))
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):

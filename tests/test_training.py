@@ -316,3 +316,21 @@ class TestTrainConfig:
     def test_lr_min_cannot_exceed_base(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr_min=1e-3, lr_backbone=1e-4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 0), ("batch_size", 0), ("eval_batch_size", 0), ("batch_size", -4),
+        ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
+        ("weight_decay", -1e-3), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+    ])
+    def test_values_that_break_training_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_betas_must_lie_in_unit_interval(self):
+        for betas in [(2.0, 0.999), (0.9, 1.0), (-0.1, 0.999)]:
+            with pytest.raises(ConfigError, match="betas"):
+                TrainConfig(betas=betas)
+        # the closed ends of every rule are accepted
+        cfg = TrainConfig(epochs=1, batch_size=1, eval_batch_size=1, weight_decay=0.0,
+                          betas=(0.0, 0.0))
+        assert cfg.betas == (0.0, 0.0)
