@@ -201,10 +201,11 @@ def cmd_ablate(args, overrides) -> int:
 def cmd_interpret(args) -> int:
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset = dio.load_dataset(args.data)
-    if dataset.samples.shape[1:] != (model.cfg.C, model.cfg.S, model.cfg.P):
-        raise CompatibilityError(
-            f"dataset sample shape {dataset.samples.shape[1:]} does not match "
-            f"model (C, S, P) = {(model.cfg.C, model.cfg.S, model.cfg.P)}")
+    found = dataset.samples.shape[1:] + (dataset.meta["M"],)
+    expected = (model.cfg.C, model.cfg.S, model.cfg.P, model.cfg.M)
+    if found != expected:
+        raise CompatibilityError(f"dataset (C, S, P, M) = {found} does not match "
+                                 f"the checkpoint's {expected}")
     run_dir = make_run_dir(args.out, args.run_name)
     (run_dir / "effective.json").write_text(
         json.dumps({"command": "interpret", "checkpoint": str(args.checkpoint),

@@ -43,6 +43,12 @@ _SHORT_ENVELOPE = np.array([2.0, 0.55, 0.35])
 _LONG_ENVELOPE = np.array([2.0, 0.60, 0.40, 0.28, 0.18])
 
 
+def is_whole_number(value, minimum: int) -> bool:
+    """An integer (an integral float such as 3.0 counts) of at least `minimum`."""
+    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= minimum)
+
+
 # -- synthetic generation --------------------------------------------------
 
 
@@ -229,10 +235,12 @@ def split_dataset(meta: dict, protocol: str, ratios) -> DatasetSplit:
     the subject population; each split takes a contiguous range of sorted
     subject ids. within_session: `ratios` are trial counts summing to the
     trials in every (subject, session) group, assigned in trial order.
+    `ratios` must be three integers >= 0; an integral float such as 6.0 counts.
     """
+    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
+            and all(is_whole_number(r, 0) for r in ratios)):
+        raise ConfigError(f"ratios must be three integers >= 0, got {ratios!r}")
     ratios = tuple(int(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"ratios must be three nonnegative counts, got {ratios}")
     subjects = np.asarray(meta["subjects"])
     sessions = np.asarray(meta["sessions"])
     trials = np.asarray(meta["trials"])
@@ -341,9 +349,23 @@ def load_dataset(dirpath) -> SynthDataset:
         if not (dirpath / required).exists():
             raise FormatError(f"dataset directory missing {required}")
     samples = read_tensor(dirpath / "samples.mstf")
-    labels = read_tensor(dirpath / "labels.mstf").astype(np.int64)
+    if samples.ndim != 4:
+        raise FormatError(f"samples.mstf has shape {samples.shape}, expected (N, C, S, P)")
+    labels = read_tensor(dirpath / "labels.mstf")
     meta = _read_meta(dirpath / "meta.json", len(samples))
-    return SynthDataset(samples, labels, meta)
+    geometry = tuple(meta[key] for key in ("C", "S", "P"))
+    if samples.shape[1:] != geometry:
+        raise FormatError(f"samples.mstf has shape {samples.shape}, expected (C, S, P) = "
+                          f"{geometry} from meta.json")
+    if labels.shape != (len(samples),):
+        raise FormatError(f"labels.mstf has shape {labels.shape}, expected one label "
+                          f"for each of {len(samples)} samples")
+    # a non-integral or non-finite value fails the first test
+    if labels.size and not ((labels == np.round(labels)).all()
+                            and labels.min() >= 0 and labels.max() < meta["M"]):
+        raise FormatError(f"labels.mstf must hold integers in [0, {meta['M']}) "
+                          f"(M from meta.json)")
+    return SynthDataset(samples, labels.astype(np.int64), meta)
 
 
 def _read_meta(path: Path, n_samples: int) -> dict:

@@ -66,7 +66,7 @@ def _check_binary(op, a_shape, b_shape):
 
 
 def _check_conv1d(rng):
-    x, k, b = _rand(rng, 2, 3, 7), _rand(rng, 4, 3, 3), _rand(rng, 4)
+    x, k, b = _rand(rng, 2, 7, 3), _rand(rng, 4, 3, 3), _rand(rng, 4)
     return finite_diff_check(lambda xx, kk, bb: reduce_sum(square(conv1d(xx, kk, bb))), [x, k, b])
 
 
@@ -116,14 +116,14 @@ def _check_layer_norm(rng):
 
 def _check_causal_branch(rng):
     branch = CausalBranch(3, 3, 0.0, rng)
-    x = _rand(rng, 2, 3, 6)
+    x = _rand(rng, 2, 6, 3)
     params = [x, branch.kernels, branch.bias, branch.bn.gamma, branch.bn.beta]
     return finite_diff_check(lambda *ps: reduce_sum(square(branch(x, "train"))), params)
 
 
 def _check_multiscale_fuse(rng):
     branches = [CausalBranch(2, k, 0.0, rng) for k in (3, 5)]
-    x = _rand(rng, 2, 2, 6)
+    x = _rand(rng, 2, 6, 2)
     params = [x] + [p for b in branches for _, p in b.named_parameters()]
     return finite_diff_check(
         lambda *ps: reduce_sum(square(multiscale_fuse(x, branches, "train"))), params)

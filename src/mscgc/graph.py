@@ -1,10 +1,13 @@
 """Multi-scale causal fusion with learnable graph propagation and residual.
 
-The block runs "temporal first, spatial second": the (B, C, S, D) input is
-viewed as (B*C, D, S) for the causal branches (D are conv channels, S is
-time), then as (B, C, D*S) for channel mixing, where C are graph nodes. The
-two views are bijective reshapes of the same buffer, so the residual sum is
-well defined, and the post-residual batch norm treats C as its channel axis.
+The block runs "temporal first, spatial second", channels last throughout:
+the (B, C, S, D) input is viewed as (B*C, S, D) for the causal branches (S
+is time, D are the conv channels), then as (B, C, S*D) for channel mixing,
+where C are graph nodes. Both views are free reshapes of the same C-ordered
+buffer, so the residual sum is well defined, the post-residual batch norm
+treats C as its channel axis, and the block output is a C-contiguous
+(B, C, S, D) whose (C, S, D) flatten is free too. `temporal_path`, kept for
+the causality checks, returns the fused branches as (B*C, D, S), time last.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ class MCRBlock:
         self.post_dropout = Dropout(dropout_rate, dropout_rng if dropout_rng is not None else rng)
 
     def _temporal_view(self, f: Tensor) -> Tensor:
-        """Check a (B, C, S, D) input and view it as (B*C, D, S) for the branches."""
+        """Check a (B, C, S, D) input and view it as (B*C, S, D) for the branches."""
         f = as_tensor(f)
         if f.ndim != 4:
             raise DimensionError(f"block expects (B, C, S, D), got {f.shape}")
@@ -137,26 +140,22 @@ class MCRBlock:
             raise DimensionError(f"block configured for C={self.channels}, got C={c}")
         if d != self.feat_dim:
             raise DimensionError(f"block configured for D={self.feat_dim}, got D={d}")
-        return f.transpose((0, 1, 3, 2)).reshape(b * c, d, s)
+        return f.reshape(b * c, s, d)
 
     def temporal_path(self, f: Tensor, mode: str) -> Tensor:
-        """Multi-scale fusion on the (B*C, D, S) view; exposed for causality checks."""
-        return multiscale_fuse(self._temporal_view(f), self.branches, mode)
+        """Multi-scale fusion of a (B, C, S, D) input, returned as (B*C, D, S)
+        with time last; exposed for causality checks."""
+        return multiscale_fuse(self._temporal_view(f), self.branches, mode).transpose((0, 2, 1))
 
     def __call__(self, f: Tensor, mode: str) -> Tensor:
         check_mode(mode)
         f = as_tensor(f)
-        # The residual adds the (B*C, D, S) view itself, so the view is taken
-        # once here; temporal_path would take it a second time.
-        t_view = self._temporal_view(f)
+        fused = multiscale_fuse(self._temporal_view(f), self.branches, mode)
         b, c, s, d = f.shape
-        fused = multiscale_fuse(t_view, self.branches, mode)
-        o_sp = fused.reshape(b, c, d * s)
-        x_sp = t_view.reshape(b, c, d * s)
         a_hat = normalize_adjacency(self.adjacency)
-        z = graph_propagate(o_sp, a_hat)
-        h_sp = residual_postnorm(z, x_sp, self.post_bn, self.post_dropout, mode)
-        return h_sp.reshape(b, c, d, s).transpose((0, 1, 3, 2))
+        z = graph_propagate(fused.reshape(b, c, s * d), a_hat)
+        h_sp = residual_postnorm(z, f.reshape(b, c, s * d), self.post_bn, self.post_dropout, mode)
+        return h_sp.reshape(b, c, s, d)
 
     def named_parameters(self, prefix: str = ""):
         named = []

@@ -123,6 +123,8 @@ def channel_activation(model: MscgcKanModel, samples, labels, batch_size: int = 
     samples = np.asarray(samples)
     labels = np.asarray(labels)
     m, c = model.cfg.M, model.cfg.C
+    if labels.size and (labels.min() < 0 or labels.max() >= m):
+        raise ValidationError(f"labels must lie in [0, {m})")
     sums = np.zeros((m, c))
     counts = np.zeros(m, dtype=np.int64)
     with model.eval_mode():

@@ -1,8 +1,11 @@
 """Reusable layers with explicit train/eval modes.
 
 Conventions: channel axis is 1 for batch-norm inputs, the last axis for
-layer norm. Causal branches preserve both channel count and temporal length
-(left pad = k - 1 zeros).
+layer norm. Causal branches run channels last on (N, S, D) sequences (in the
+graph block, N = B*C and the view of (B, C, S, D) is free): the time axis is
+1, the conv channels are D. They preserve both channel count and temporal
+length (left pad = k - 1 zeros), and view the conv output as (N*S, D) so its
+batch norm keeps D on axis 1.
 """
 
 from __future__ import annotations
@@ -163,7 +166,8 @@ class Dropout:
 
 
 class CausalBranch:
-    """One temporal branch: left pad (k-1), Conv1D (D -> D), BatchNorm1D, ELU, Dropout.
+    """One temporal branch on (N, S, D): left pad (k-1), Conv1D (D -> D),
+    BatchNorm1D, ELU, Dropout.
 
     Channel count and temporal length are preserved, and in eval mode the
     output at time t depends only on inputs at times <= t.
@@ -185,11 +189,12 @@ class CausalBranch:
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         x = as_tensor(x)
-        if x.ndim != 3 or x.shape[1] != self.channels:
-            raise DimensionError(f"causal branch: expected (N, {self.channels}, S), got {x.shape}")
+        if x.ndim != 3 or x.shape[2] != self.channels:
+            raise DimensionError(f"causal branch: expected (N, S, {self.channels}), got {x.shape}")
+        n, s, d = x.shape
         y = conv1d(pad_left(x, self.kernel_size - 1), self.kernels, self.bias)
-        y = self.bn(y, mode)
-        return self.dropout(elu(y), mode)
+        y = self.bn(y.reshape(n * s, d), mode)
+        return self.dropout(elu(y), mode).reshape(n, s, d)
 
     def named_parameters(self, prefix: str = ""):
         return ([(prefix + "kernels", self.kernels), (prefix + "bias", self.bias)]

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import is_whole_number
 from .errors import ConfigError, DimensionError
 from .graph import MCRBlock
 from .kan import ClassifierHead, KanLayer, basis_names
@@ -34,12 +35,6 @@ ABLATION_VARIANTS = {
     "+MCRBlock-GCN": ("mcr", "affine"),
     "MSCGC-KAN (full model)": ("mcr", "kan"),
 }
-
-
-def _is_kernel_size(k) -> bool:
-    """An integer (an integral float such as 3.0 counts) of at least 1."""
-    return (isinstance(k, (int, float, np.integer, np.floating)) and not isinstance(k, bool)
-            and float(k).is_integer() and k >= 1)
 
 
 @dataclass
@@ -76,7 +71,7 @@ class ModelConfig:
             raise ConfigError(f"file_features provider requires P == D, got P={self.P}, D={self.D}")
         basis_names(self.harmonics)  # raises ConfigError unless harmonics is 0, 2 or 3
         if not (isinstance(self.kernels, (list, tuple)) and self.kernels
-                and all(_is_kernel_size(k) for k in self.kernels)):
+                and all(is_whole_number(k, 1) for k in self.kernels)):
             raise ConfigError(f"kernels must be a nonempty list of integers >= 1, got {self.kernels!r}")
         self.kernels = tuple(int(k) for k in self.kernels)
         if not 0.0 <= self.dropout < 1.0:

@@ -226,7 +226,11 @@ def elu(x: Tensor) -> Tensor:
     data += np.maximum(x.data, 0.0)
 
     def backward(g):
-        accumulate_grad(x, g * np.exp(np.minimum(x.data, 0.0)))
+        # the slope is exp(x) = elu(x) + 1 below zero and 1 above, i.e. min(out, 0) + 1
+        slope = np.minimum(data, 0.0)
+        slope += 1.0
+        slope *= g
+        accumulate_grad(x, slope)
 
     return make_op(data, (x,), "elu", backward)
 
@@ -315,17 +319,19 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def pad_left(x: Tensor, amount: int) -> Tensor:
-    """Zero-pad the last axis on the left by `amount` elements."""
+    """Zero-pad the time axis (axis 1) on the left by `amount` elements."""
     x = as_tensor(x)
     if amount < 0:
         raise ValidationError("pad amount must be nonnegative")
+    if x.ndim < 2:
+        raise DimensionError(f"pad_left pads axis 1, got shape {x.shape}")
     if amount == 0:
         return x
-    widths = [(0, 0)] * (x.ndim - 1) + [(amount, 0)]
-    data = np.pad(x.data, widths)
+    data = np.zeros((x.shape[0], x.shape[1] + amount) + x.shape[2:])
+    data[:, amount:] = x.data
 
     def backward(g):
-        accumulate_grad(x, g[..., amount:])
+        accumulate_grad(x, g[:, amount:])
 
     return make_op(data, (x,), "pad_left", backward)
 
@@ -375,40 +381,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid (unpadded) 1-D cross-correlation.
+    """Valid (unpadded) 1-D cross-correlation over time, channels last.
 
-    x: (N, ch_in, T); kernels: (ch_out, ch_in, k); bias: (ch_out,).
-    Output time length is T - k + 1; padding is the caller's job.
+    x: (N, T, ch_in); kernels: (ch_out, ch_in, k); bias: (ch_out,).
+    Returns a C-contiguous (N, T - k + 1, ch_out) with
+    y[n, t, o] = bias[o] + sum_j sum_i kernels[o, i, j] * x[n, t + j, i].
+    Padding is the caller's job.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     if x.ndim != 3 or kernels.ndim != 3 or bias.ndim != 1:
-        raise DimensionError("conv1d expects input (N, ch_in, T), kernels (ch_out, ch_in, k), bias (ch_out,)")
-    n, ch_in, t = x.shape
+        raise DimensionError("conv1d expects input (N, T, ch_in), kernels (ch_out, ch_in, k), bias (ch_out,)")
+    n, t, ch_in = x.shape
     ch_out, k_in, k = kernels.shape
     if k_in != ch_in or bias.shape[0] != ch_out:
         raise DimensionError(f"conv1d: channel mismatch, input {ch_in} vs kernels {k_in}/{ch_out}")
     if k > t:
         raise DimensionError(f"conv1d: kernel size {k} exceeds input length {t}")
     t_out = t - k + 1
-    # im2col so every contraction here is a single BLAS call
-    cols = sliding_window_view(x.data, k, axis=-1).transpose(0, 2, 1, 3).reshape(n * t_out, ch_in * k)
-    w2 = kernels.data.reshape(ch_out, ch_in * k)
-    out = (cols @ w2.T).reshape(n, t_out, ch_out).transpose(0, 2, 1) + bias.data[None, :, None]
+    # Tap-major im2col: row (n, t) holds x[n, t + j, :] for j = 0..k-1, so
+    # every copied run is one contiguous ch_in row and each contraction is
+    # one GEMM. w2[j * ch_in + i, o] = kernels[o, i, j].
+    cols = _taps(x.data, k)
+    w2 = kernels.data.transpose(2, 1, 0).reshape(k * ch_in, ch_out)
+    out = cols @ w2
+    out += bias.data
+    out = out.reshape(n, t_out, ch_out)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, ch_out)
+        g2 = g.reshape(n * t_out, ch_out)
         accumulate_grad(bias, g2.sum(axis=0))
-        accumulate_grad(kernels, (g2.T @ cols).reshape(ch_out, ch_in, k))
+        dw = (g2.T @ cols).reshape(ch_out, k, ch_in).transpose(0, 2, 1)
+        accumulate_grad(kernels, np.ascontiguousarray(dw))
         if x.requires_grad:
-            # full correlation of the padded output gradient with flipped kernels
-            gp = np.zeros((n, ch_out, t + k - 1))
-            gp[:, :, k - 1:k - 1 + t_out] = g
-            gcols = sliding_window_view(gp, k, axis=-1).transpose(0, 2, 1, 3).reshape(n * t, ch_out * k)
-            wf = kernels.data[:, :, ::-1].transpose(0, 2, 1).reshape(ch_out * k, ch_in)
-            dx = (gcols @ wf).reshape(n, t, ch_in).transpose(0, 2, 1)
-            accumulate_grad(x, dx)
+            # full correlation of the zero-padded output gradient with the
+            # kernels flipped in time: wf[j * ch_out + o, i] = kernels[o, i, k-1-j]
+            gp = np.zeros((n, t + k - 1, ch_out))
+            gp[:, k - 1:k - 1 + t_out] = g
+            wf = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * ch_out, ch_in)
+            accumulate_grad(x, (_taps(gp, k) @ wf).reshape(n, t, ch_in))
 
     return make_op(out, (x, kernels, bias), "conv1d", backward)
+
+
+def _taps(a: np.ndarray, k: int) -> np.ndarray:
+    """(N, T, ch) -> (N * (T-k+1), k * ch): the k time-consecutive rows of
+    every window, tap after tap, in one contiguous copy."""
+    n, t, ch = a.shape
+    return sliding_window_view(a, k, axis=1).transpose(0, 1, 3, 2).reshape(n * (t - k + 1), k * ch)
 
 
 def _reduce_axes(x: Tensor, axes) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -4,7 +4,10 @@ Each function spells out one equation element by element with plain Python
 floats, so it shares no vectorized code with the package. Tests compare the
 package against these at 1e-12. Covered so far: the ELU-activated adjacency
 with self-loops, its clamped |row-sum| degrees, the symmetric normalization
-D^-1/2 Ã D^-1/2 (Kipf & Welling, ICLR 2017) and graph propagation.
+D^-1/2 Ã D^-1/2 (Kipf & Welling, ICLR 2017), graph propagation, the causal
+convolution, batch norm in train and eval mode, the causal branch, the
+residual post-norm and the whole MCR block (dropout at rate 0 or in eval
+mode, where it is the identity).
 """
 
 from __future__ import annotations
@@ -60,3 +63,132 @@ def graph_propagate(o, a_hat) -> np.ndarray:
                     total += float(a_hat[i][j]) * float(o[b][j][f])
                 out[b, i, f] = total
     return out
+
+
+def causal_conv(x, kernels, bias) -> np.ndarray:
+    """Zero left pad k-1, then
+    y[n, t, o] = b_o + sum_j sum_i W[o, i, j] * x[n, t - (k-1) + j, i].
+
+    x is (N, T, ch_in), kernels (ch_out, ch_in, k); y is (N, T, ch_out).
+    """
+    n_seq, length, ch_in = np.shape(x)
+    ch_out, _, k = np.shape(kernels)
+    out = np.empty((n_seq, length, ch_out))
+    for n in range(n_seq):
+        for t in range(length):
+            for o in range(ch_out):
+                total = float(bias[o])
+                for j in range(k):
+                    src = t - (k - 1) + j
+                    if src < 0:
+                        continue  # a zero of the left pad
+                    for i in range(ch_in):
+                        total += float(kernels[o][i][j]) * float(x[n][src][i])
+                out[n, t, o] = total
+    return out
+
+
+def batch_norm(x, axis: int, gamma, beta, running_mean, running_var,
+               momentum: float, eps: float, mode: str):
+    """Per channel c (the index on `axis`), over every other index:
+    train: xhat = (x - mean_c) / sqrt(var_c + eps) with the biased batch
+    variance, and running = (1 - momentum) * running + momentum * batch;
+    eval: xhat = (x - running_mean_c) / sqrt(running_var_c + eps).
+    Returns (gamma_c * xhat + beta_c, new running mean, new running var).
+    """
+    x = np.asarray(x)
+    channels = x.shape[axis]
+    members = [[] for _ in range(channels)]
+    for index in np.ndindex(*x.shape):
+        members[index[axis]].append(index)
+    out = np.empty(x.shape)
+    new_mean, new_var = [], []
+    for c in range(channels):
+        values = [float(x[index]) for index in members[c]]
+        if mode == "train":
+            mean = sum(values) / len(values)
+            var = sum((v - mean) * (v - mean) for v in values) / len(values)
+            new_mean.append((1 - momentum) * float(running_mean[c]) + momentum * mean)
+            new_var.append((1 - momentum) * float(running_var[c]) + momentum * var)
+        else:
+            mean, var = float(running_mean[c]), float(running_var[c])
+            new_mean.append(mean)
+            new_var.append(var)
+        scale = 1.0 / math.sqrt(var + eps)
+        for index, v in zip(members[c], values):
+            out[index] = float(gamma[c]) * ((v - mean) * scale) + float(beta[c])
+    return out, np.array(new_mean), np.array(new_var)
+
+
+def elu_all(x) -> np.ndarray:
+    x = np.asarray(x)
+    out = np.empty(x.shape)
+    for index in np.ndindex(*x.shape):
+        out[index] = elu(float(x[index]))
+    return out
+
+
+def causal_branch(x, branch: dict, momentum: float, eps: float, mode: str):
+    """ELU(BN(causal_conv(x))) on (N, T, D), batch norm per feature d over (N, T).
+
+    `branch` holds kernels, bias, gamma, beta, running_mean and running_var.
+    Returns (output, new running mean, new running var).
+    """
+    y = causal_conv(x, branch["kernels"], branch["bias"])
+    y, mean, var = batch_norm(y, 2, branch["gamma"], branch["beta"], branch["running_mean"],
+                              branch["running_var"], momentum, eps, mode)
+    return elu_all(y), mean, var
+
+
+def residual_postnorm(z, x, post: dict, momentum: float, eps: float, mode: str):
+    """ELU(BN(Z + x)) on (B, C, F), batch norm per channel c over (B, F)."""
+    z, x = np.asarray(z), np.asarray(x)
+    total = np.empty(z.shape)
+    for index in np.ndindex(*z.shape):
+        total[index] = float(z[index]) + float(x[index])
+    y, mean, var = batch_norm(total, 1, post["gamma"], post["beta"], post["running_mean"],
+                              post["running_var"], momentum, eps, mode)
+    return elu_all(y), mean, var
+
+
+def mcr_block(f, branches: list[dict], a, post: dict, momentum: float, eps: float,
+              mode: str, eps_deg: float = 1e-6):
+    """H = ELU(BN(Â · sum_k branch_k(f) + f)) for f (B, C, S, D).
+
+    Each branch runs along S on every (b, c) sequence, with its batch norm
+    pooling all B*C sequences. Â mixes channels at each (b, s, d).
+    Returns (H, [(mean, var) per branch], (post mean, post var)).
+    """
+    f = np.asarray(f)
+    b_n, c_n, s_n, d_n = f.shape
+    seqs = np.empty((b_n * c_n, s_n, d_n))
+    for b in range(b_n):
+        for c in range(c_n):
+            for s in range(s_n):
+                for d in range(d_n):
+                    seqs[b * c_n + c, s, d] = f[b, c, s, d]
+    fused = np.zeros((b_n * c_n, s_n, d_n))
+    stats = []
+    for branch in branches:
+        y, mean, var = causal_branch(seqs, branch, momentum, eps, mode)
+        stats.append((mean, var))
+        for index in np.ndindex(*fused.shape):
+            fused[index] += float(y[index])
+    width = s_n * d_n
+    o = np.empty((b_n, c_n, width))
+    x = np.empty((b_n, c_n, width))
+    for b in range(b_n):
+        for c in range(c_n):
+            for s in range(s_n):
+                for d in range(d_n):
+                    o[b, c, s * d_n + d] = fused[b * c_n + c, s, d]
+                    x[b, c, s * d_n + d] = f[b, c, s, d]
+    z = graph_propagate(o, normalize_adjacency(a, eps_deg))
+    h, post_mean, post_var = residual_postnorm(z, x, post, momentum, eps, mode)
+    out = np.empty(f.shape)
+    for b in range(b_n):
+        for c in range(c_n):
+            for s in range(s_n):
+                for d in range(d_n):
+                    out[b, c, s, d] = h[b, c, s * d_n + d]
+    return out, stats, (post_mean, post_var)

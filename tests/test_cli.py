@@ -167,6 +167,34 @@ class TestTrain:
         assert code == 2
         assert "subjects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,dtype", [
+        (lambda y: y[:50], "i8"),
+        (lambda y: np.where(np.arange(y.size) == 0, -1, np.where(np.arange(y.size) == 1, 7, y)),
+         "i8"),
+        (lambda y: y + 0.5, "f8")])
+    def test_bad_labels_exit_2_before_run_dir(self, workspace, tmp_path, edit, dtype, capsys):
+        _, _, config_file, data_dir = workspace
+        damaged = tmp_path / "data"
+        damaged.mkdir()
+        for name in ("samples.mstf", "meta.json"):
+            (damaged / name).write_bytes((data_dir / name).read_bytes())
+        write_tensor(damaged / "labels.mstf", edit(read_tensor(data_dir / "labels.mstf")),
+                     name="labels", dtype=dtype)
+        code = main(["train", "--config", str(config_file), "--data", str(damaged),
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "labels.mstf" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("ratios", ['["a",5,5]', "[[10],5,5]", "[10.5,5,5]"])
+    def test_bad_ratios_exit_2_before_run_dir(self, workspace, tmp_path, ratios, capsys):
+        _, _, config_file, data_dir = workspace
+        code = main(["train", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "r"), f"--data.ratios={ratios}"])
+        assert code == 2
+        assert "ratios" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("override,named", [
         ("--train.batch_size=0", "batch_size"), ("--train.eval_batch_size=0", "eval_batch_size"),
         ("--train.epochs=0", "epochs"), ("--train.clip_norm=-1", "clip_norm"),
@@ -316,6 +344,17 @@ class TestInterpret:
                      "--data", str(tmp_path / "od"), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_class_count_mismatch_exits_2_before_run_dir(self, workspace, trained, tmp_path,
+                                                          capsys):
+        spec_file = tmp_path / "four.json"
+        spec_file.write_text(json.dumps(dict(TINY_SPEC, M=4)))
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "m4")]) == 0
+        capsys.readouterr()
+        code = main(["interpret", "--checkpoint", str(trained), "--data", str(tmp_path / "m4"),
+                     "--out", str(tmp_path / "x"), "--samples", "0"])
+        assert code == 2
+        assert "(C, S, P, M)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_rejected(self, workspace, trained, tmp_path):
         _, _, _, data_dir = workspace

@@ -145,6 +145,21 @@ class TestSplits:
         with pytest.raises(ConfigError):
             split_dataset(ds.meta, "leave_one_out", (1, 1, 1))
 
+    @pytest.mark.parametrize("ratios", [["a", 5, 5], [[10], 5, 5], [10.5, 5, 5], [10, 5],
+                                        [10, 5, 5, 0], [True, 5, 5], [10, -5, 15],
+                                        [float("nan"), 5, 5], "10,5,5", None])
+    def test_ratios_must_be_three_whole_numbers(self, ratios):
+        ds = gen_synthetic(small_spec())
+        with pytest.raises(ConfigError, match="ratios"):
+            split_dataset(ds.meta, "within_session", ratios)
+
+    def test_integral_float_ratios_count(self):
+        ds = gen_synthetic(small_spec())
+        a = split_dataset(ds.meta, "within_session", [10.0, 5.0, 5.0])
+        b = split_dataset(ds.meta, "within_session", (10, 5, 5))
+        for part in ("train", "val", "test"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+
 
 class TestTensorFiles:
     def test_scalar_round_trip(self, tmp_path):
@@ -249,6 +264,48 @@ class TestDatasetMeta:
     def test_bad_geometry(self, saved, tmp_path, bad):
         with pytest.raises(FormatError, match="C"):
             load_dataset(self.edited(saved, tmp_path, lambda meta: meta.update(C=bad)))
+
+
+class TestDatasetTensors:
+    """samples.mstf and labels.mstf must agree with meta.json: (N, C, S, P)
+    samples and one integer label in [0, M) per sample."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("tensors")
+        save_dataset(root / "data", gen_synthetic(small_spec()))
+        return root / "data"
+
+    def with_tensor(self, saved, tmp_path, name, array, dtype):
+        for other in ("samples.mstf", "labels.mstf", "meta.json"):
+            (tmp_path / other).write_bytes((saved / other).read_bytes())
+        write_tensor(tmp_path / name, array, name=name.split(".")[0], dtype=dtype)
+        return tmp_path
+
+    @pytest.mark.parametrize("reshape", [
+        lambda s: s[:, :, :-1], lambda s: s[:, :-1], lambda s: s[..., :-1],
+        lambda s: s[:, :, :, :, None], lambda s: s[0], lambda s: s.reshape(-1)])
+    def test_samples_must_match_meta_geometry(self, saved, tmp_path, reshape):
+        samples = reshape(read_tensor(saved / "samples.mstf"))
+        with pytest.raises(FormatError, match="samples.mstf"):
+            load_dataset(self.with_tensor(saved, tmp_path, "samples.mstf", samples, "f8"))
+
+    @pytest.mark.parametrize("edit,dtype", [
+        (lambda y: y[:50], "i8"), (lambda y: np.append(y, 0), "i8"), (lambda y: y[:, None], "i8"),
+        (lambda y: np.where(np.arange(y.size) == 3, -1, y), "i8"),
+        (lambda y: np.where(np.arange(y.size) == 3, 4, y), "i8"),
+        (lambda y: y + 0.5, "f8"), (lambda y: np.where(np.arange(y.size) == 0, np.nan, y), "f8"),
+        (lambda y: np.where(np.arange(y.size) == 0, np.inf, y), "f4")])
+    def test_labels_must_be_one_class_per_sample(self, saved, tmp_path, edit, dtype):
+        labels = edit(read_tensor(saved / "labels.mstf"))
+        with pytest.raises(FormatError, match="labels.mstf"):
+            load_dataset(self.with_tensor(saved, tmp_path, "labels.mstf", labels, dtype))
+
+    def test_integral_float_labels_load_as_ints(self, saved, tmp_path):
+        labels = read_tensor(saved / "labels.mstf")
+        ds = load_dataset(self.with_tensor(saved, tmp_path, "labels.mstf", labels, "f8"))
+        assert ds.labels.dtype == np.int64
+        np.testing.assert_array_equal(ds.labels, labels)
 
 
 class TestCheckpoints:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -101,6 +101,41 @@ class TestAgainstReference:
         bound = 1e-12 * (np.abs(expected) @ np.abs(o))
         assert (np.abs(z - reference.graph_propagate(o, expected)) <= bound).all()
 
+    @given(b=st.integers(1, 3), c=st.integers(1, 4), s=st.integers(1, 6), d=st.integers(1, 4),
+           kernels=st.sampled_from([(1,), (3, 5), (2, 7)]), mode=st.sampled_from(["eval", "train"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_mcr_block_matches_loops(self, b, c, s, d, kernels, mode, seed):
+        if mode == "train":
+            # batch statistics need two values per channel in both norms
+            assume(b * c * s >= 2 and b * s * d >= 2)
+        rng = np.random.default_rng(seed)
+        # eval-mode dropout is the identity whatever its rate
+        block = MCRBlock(c, d, kernels=kernels, dropout_rate=0.0 if mode == "train" else 0.3,
+                         rng=rng)
+        block.adjacency.A.data[...] = rng.normal(0.0, 1.0, (c, c))
+        norms = [branch.bn for branch in block.branches] + [block.post_bn]
+        for bn in norms:
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, bn.channels)
+            bn.beta.data[...] = rng.uniform(-0.5, 0.5, bn.channels)
+            bn.set_buffers(rng.normal(size=bn.channels), rng.uniform(0.5, 2.0, bn.channels))
+
+        def state(bn, **extra):
+            return dict(gamma=bn.gamma.data, beta=bn.beta.data, running_mean=bn.running_mean,
+                        running_var=bn.running_var, **extra)
+
+        f = rng.normal(size=(b, c, s, d))
+        expected, branch_stats, post_stats = reference.mcr_block(
+            f, [state(br.bn, kernels=br.kernels.data, bias=br.bias.data) for br in block.branches],
+            block.adjacency.A.data, state(block.post_bn), block.post_bn.momentum,
+            block.post_bn.eps, mode, block.adjacency.eps_deg)
+        out = block(Tensor(f), mode).data
+        assert out.shape == (b, c, s, d)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        for bn, (mean, var) in zip(norms, branch_stats + [post_stats]):
+            np.testing.assert_allclose(bn.running_mean, mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bn.running_var, var, rtol=1e-12, atol=1e-12)
+
 
 class TestGraphPropagate:
     def test_identity(self, rng):
@@ -130,17 +165,17 @@ class TestMultiscaleFuse:
             b.kernels.data[...] = 0.0
             b.bias.data[...] = 0.0
             branches.append(b)
-        out = multiscale_fuse(Tensor(rng.normal(size=(4, 2, 6))), branches, "eval")
-        np.testing.assert_array_equal(out.data, np.zeros((4, 2, 6)))
+        out = multiscale_fuse(Tensor(rng.normal(size=(4, 6, 2))), branches, "eval")
+        np.testing.assert_array_equal(out.data, np.zeros((4, 6, 2)))
 
     def test_shape_preserved_at_paper_dims(self, rng):
         branches = [CausalBranch(200, k, 0.0, rng) for k in (3, 5)]
-        out = multiscale_fuse(Tensor(rng.normal(size=(64, 200, 10))), branches, "eval")
-        assert out.shape == (64, 200, 10)
+        out = multiscale_fuse(Tensor(rng.normal(size=(64, 10, 200))), branches, "eval")
+        assert out.shape == (64, 10, 200)
 
     def test_empty_branch_list(self, rng):
         with pytest.raises(ConfigError):
-            multiscale_fuse(Tensor(np.zeros((1, 2, 3))), [], "eval")
+            multiscale_fuse(Tensor(np.zeros((1, 3, 2))), [], "eval")
 
 
 class TestResidualPostnorm:
@@ -174,6 +209,13 @@ class TestMCRBlock:
         block = MCRBlock(32, 200, dropout_rate=0.0, rng=rng)
         out = block(Tensor(rng.normal(size=(2, 32, 10, 200))), "eval")
         assert out.shape == (2, 32, 10, 200)
+
+    def test_views_are_free_and_output_c_contiguous(self, rng):
+        block = MCRBlock(3, 4, dropout_rate=0.0, rng=rng)
+        f = Tensor(rng.normal(size=(2, 3, 5, 4)))
+        assert np.shares_memory(block._temporal_view(f).data, f.data)
+        out = block(f, "train")
+        assert out.shape == (2, 3, 5, 4) and out.data.flags.c_contiguous
 
     def test_eval_determinism_bitwise(self, rng):
         block = MCRBlock(4, 3, dropout_rate=0.1, rng=rng)

@@ -179,6 +179,13 @@ class TestChannelActivation:
         assert activation.shape == (3, 4)
         assert empty == [1, 2]
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_classes_rejected(self, sample_batch, bad):
+        labels = sample_batch[1].copy()
+        labels[5] = bad
+        with pytest.raises(ValidationError):
+            channel_activation(build_model(), sample_batch[0], labels)
+
 
 class TestExportAll:
     def test_writes_all_five_files(self, tmp_path, sample_batch):

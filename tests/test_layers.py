@@ -130,7 +130,7 @@ class TestDropout:
 class TestCausalBranch:
     def test_identity_construction_gives_elu(self, rng):
         branch = identity_branch(3, 3, rng)
-        x = Tensor(rng.normal(size=(2, 3, 6)))
+        x = Tensor(rng.normal(size=(2, 6, 3)))
         out = branch(x, "eval")
         np.testing.assert_allclose(out.data, elu(x).data, atol=1e-12)
 
@@ -138,36 +138,36 @@ class TestCausalBranch:
         branch = CausalBranch(2, 5, 0.0, rng)
         branch.kernels.data[...] = 0.0
         branch.bias.data[...] = 0.0
-        out = branch(Tensor(rng.normal(size=(3, 2, 7))), "eval")
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2, 7)))
+        out = branch(Tensor(rng.normal(size=(3, 7, 2))), "eval")
+        np.testing.assert_array_equal(out.data, np.zeros((3, 7, 2)))
 
     def test_length_preserved(self, rng):
         branch = CausalBranch(16, 5, 0.0, rng)
-        assert branch(Tensor(rng.normal(size=(4, 16, 10))), "eval").shape == (4, 16, 10)
+        assert branch(Tensor(rng.normal(size=(4, 10, 16))), "eval").shape == (4, 10, 16)
 
     def test_causality_eval_mode(self, rng):
         branch = CausalBranch(4, 5, 0.0, rng)
         branch.bn.set_buffers(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
         for t in (0, 3, 7):
-            a = rng.normal(size=(2, 4, 9))
+            a = rng.normal(size=(2, 9, 4))
             b = a.copy()
-            b[:, :, t + 1:] = rng.normal(size=b[:, :, t + 1:].shape)
+            b[:, t + 1:] = rng.normal(size=b[:, t + 1:].shape)
             out_a = branch(Tensor(a), "eval").data
             out_b = branch(Tensor(b), "eval").data
-            assert np.abs(out_a[:, :, :t + 1] - out_b[:, :, :t + 1]).max() <= 1e-12
+            assert np.abs(out_a[:, :t + 1] - out_b[:, :t + 1]).max() <= 1e-12
 
     def test_gradcheck(self, rng):
         branch = CausalBranch(2, 3, 0.0, rng)
-        x = Tensor(rng.uniform(-2, 2, (2, 2, 5)), requires_grad=True)
+        x = Tensor(rng.uniform(-2, 2, (2, 5, 2)), requires_grad=True)
         params = [x, branch.kernels, branch.bias, branch.bn.gamma, branch.bn.beta]
         assert finite_diff_check(lambda *ps: reduce_sum(square(branch(x, "train"))), params) < 1e-4
 
     def test_channel_mismatch(self, rng):
         branch = CausalBranch(3, 3, 0.0, rng)
         with pytest.raises(DimensionError):
-            branch(Tensor(np.zeros((2, 4, 5))), "eval")
+            branch(Tensor(np.zeros((2, 5, 4))), "eval")
 
     def test_invalid_mode(self, rng):
         branch = CausalBranch(2, 3, 0.0, rng)
         with pytest.raises(ValidationError):
-            branch(Tensor(np.zeros((1, 2, 4))), "predict")
+            branch(Tensor(np.zeros((1, 4, 2))), "predict")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from mscgc.errors import DimensionError, UsageError, ValidationError
 from mscgc.layers import LinearLayer
 from mscgc.model import ModelConfig, MscgcKanModel
@@ -133,25 +134,34 @@ class TestGradientLayout:
 
 class TestConv1d:
     def test_hand_convolution(self):
-        out = conv1d(Tensor([[[1.0, 2.0, 3.0, 4.0]]]), Tensor([[[0.0, 0.0, 1.0]]]), Tensor([0.0]))
-        np.testing.assert_array_equal(out.data, [[[3.0, 4.0]]])
+        out = conv1d(Tensor([[[1.0], [2.0], [3.0], [4.0]]]), Tensor([[[0.0, 0.0, 1.0]]]),
+                     Tensor([0.0]))
+        np.testing.assert_array_equal(out.data, [[[3.0], [4.0]]])
 
     def test_identity_kernel(self):
-        x = np.random.default_rng(2).normal(size=(1, 1, 6))
+        x = np.random.default_rng(2).normal(size=(1, 6, 1))
         out = conv1d(Tensor(x), Tensor(np.ones((1, 1, 1))), Tensor([0.0]))
         np.testing.assert_array_equal(out.data, x)
 
     def test_zero_kernel(self):
-        out = conv1d(Tensor(np.ones((2, 3, 8))), Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros(4)))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 4, 6)))
+        out = conv1d(Tensor(np.ones((2, 8, 3))), Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros(4)))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 6, 4)))
+
+    def test_causal_conv_matches_loops(self):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(2, 6, 3)), rng.normal(size=(4, 3, 5)), rng.normal(size=4)
+        out = conv1d(pad_left(Tensor(x), 4), Tensor(w), Tensor(b))
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, reference.causal_conv(x, w, b), rtol=1e-12,
+                                   atol=1e-12)
 
     def test_kernel_longer_than_input(self):
         with pytest.raises(DimensionError):
-            conv1d(Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 1, 3))), Tensor([0.0]))
+            conv1d(Tensor(np.ones((1, 2, 1))), Tensor(np.ones((1, 1, 3))), Tensor([0.0]))
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            conv1d(Tensor(np.ones((1, 2, 8))), Tensor(np.ones((3, 4, 3))), Tensor(np.zeros(3)))
+            conv1d(Tensor(np.ones((1, 8, 2))), Tensor(np.ones((3, 4, 3))), Tensor(np.zeros(3)))
 
 
 class TestReduce:
