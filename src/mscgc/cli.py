@@ -69,6 +69,15 @@ def load_split(data_dir, cfg: RunConfig):
     return dataset, dio.split_dataset(dataset.meta, cfg["data.protocol"], cfg["data.ratios"])
 
 
+def check_dataset_geometry(model: MscgcKanModel, dataset) -> None:
+    """Raise CompatibilityError unless the dataset's (C, S, P, M) are the model's."""
+    found = dataset.samples.shape[1:] + (dataset.meta["M"],)
+    expected = (model.cfg.C, model.cfg.S, model.cfg.P, model.cfg.M)
+    if found != expected:
+        raise CompatibilityError(f"dataset (C, S, P, M) = {found} does not match "
+                                 f"the checkpoint's {expected}")
+
+
 def cmd_gen_data(args) -> int:
     spec_kwargs = {}
     if args.spec:
@@ -109,6 +118,7 @@ def cmd_eval(args, overrides) -> int:
     cfg = RunConfig.load(args.config, overrides)
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset, split = load_split(args.data, cfg)
+    check_dataset_geometry(model, dataset)
     cfg.adopt_model_config(model.cfg)
     run_dir = make_run_dir(args.out, args.run_name)
     cfg.echo(run_dir / "effective.json",
@@ -201,11 +211,7 @@ def cmd_ablate(args, overrides) -> int:
 def cmd_interpret(args) -> int:
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset = dio.load_dataset(args.data)
-    found = dataset.samples.shape[1:] + (dataset.meta["M"],)
-    expected = (model.cfg.C, model.cfg.S, model.cfg.P, model.cfg.M)
-    if found != expected:
-        raise CompatibilityError(f"dataset (C, S, P, M) = {found} does not match "
-                                 f"the checkpoint's {expected}")
+    check_dataset_geometry(model, dataset)
     run_dir = make_run_dir(args.out, args.run_name)
     (run_dir / "effective.json").write_text(
         json.dumps({"command": "interpret", "checkpoint": str(args.checkpoint),

@@ -287,7 +287,7 @@ def write_tensor(path, tensor, name: str = "tensor", dtype: str = "f8") -> None:
     with open(path, "wb") as fh:
         fh.write(MSTF_MAGIC + b"\n")
         fh.write(header.encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(arr.astype(_DTYPES[dtype])).tobytes())
+        fh.write(np.ascontiguousarray(arr.astype(_DTYPES[dtype])))
 
 
 def _read_header(fh, magic: bytes, keys: tuple[str, ...]) -> dict:
@@ -324,11 +324,21 @@ def read_tensor(path):
         shape = _shape(header["shape"], "tensor header")
         expected = math.prod(shape) * np_dtype.itemsize
         offset = fh.tell()
-        payload = fh.read()
-        if len(payload) != expected:
+        held = os.fstat(fh.fileno()).st_size - offset
+        if held != expected:
             raise FormatError(
-                f"payload length {len(payload)} != expected {expected} bytes at offset {offset}")
-    return np.frombuffer(payload, dtype=np_dtype).reshape(shape).copy()
+                f"payload length {held} != expected {expected} bytes at offset {offset}")
+        return _read_payload(fh, shape, np_dtype)
+
+
+def _read_payload(fh, shape, dtype) -> np.ndarray:
+    """Read one array straight into a new buffer, with no intermediate bytes
+    object. The caller has checked the file size, so a short read means the
+    file changed under us."""
+    arr = np.empty(shape, dtype=dtype)
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        raise FormatError(f"payload ended early at offset {fh.tell()}")
+    return arr
 
 
 # -- datasets on disk --------------------------------------------------------
@@ -426,7 +436,7 @@ def save_checkpoint(path, model, optimizer=None, epoch: int = 0, val_kappa: floa
             fh.write(CKPT_MAGIC + b"\n")
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
             for _, arr in named:
-                fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")).tobytes())
+                fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -468,8 +478,7 @@ def load_checkpoint(path, model, optimizer=None) -> dict:
             problem = "truncated payload" if held < sum(sizes) else "trailing bytes"
             raise FormatError(f"{problem}: header lists {sum(sizes)} payload bytes after "
                               f"offset {start}, file holds {held}")
-        loaded = {e["name"]: np.frombuffer(fh.read(n), dtype="<f8").reshape(e["shape"]).copy()
-                  for e, n in zip(header["tensors"], sizes)}
+        loaded = {e["name"]: _read_payload(fh, e["shape"], "<f8") for e in header["tensors"]}
 
     # Parameters, buffers and optimizer moments are copied into the live
     # arrays; the step count is a 0-d copy, so it is set afterwards.

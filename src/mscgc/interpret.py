@@ -23,7 +23,7 @@ from .errors import UsageError, ValidationError
 from .graph import normalize_adjacency
 from .kan import KanLayer, basis_expand
 from .model import MscgcKanModel
-from .tensor import Tensor, as_tensor, reduce_sum
+from .tensor import Tensor, as_tensor, no_grad, reduce_sum
 
 
 @dataclass
@@ -100,15 +100,16 @@ def kan_basis_importance(model: MscgcKanModel, probe_batch=None, bins: int = 20)
     histograms = None
     if probe_batch is not None:
         x = as_tensor(probe_batch)
-        if x.ndim == 4:
-            # raw samples: run them through provider and block first
-            with model.eval_mode():
-                model.forward(x)
-            flat = model.last_block_output.reshape(
-                x.shape[0], model.cfg.C * model.cfg.S * model.cfg.D)
-        else:
-            flat = x
-        responses = basis_expand(kan.hidden_activations(flat), kan.harmonics).data
+        with no_grad():
+            if x.ndim == 4:
+                # raw samples: run them through provider and block first
+                with model.eval_mode():
+                    model.forward(x)
+                flat = model.last_block_output.reshape(
+                    x.shape[0], model.cfg.C * model.cfg.S * model.cfg.D)
+            else:
+                flat = x
+            responses = basis_expand(kan.hidden_activations(flat), kan.harmonics).data
         histograms = {name: np.histogram(responses[:, group].ravel(), bins=bins)
                       for name, group in zip(kan.basis_names, groups)}
     return importance, histograms
@@ -127,7 +128,7 @@ def channel_activation(model: MscgcKanModel, samples, labels, batch_size: int = 
         raise ValidationError(f"labels must lie in [0, {m})")
     sums = np.zeros((m, c))
     counts = np.zeros(m, dtype=np.int64)
-    with model.eval_mode():
+    with model.eval_mode(), no_grad():
         for start in range(0, len(samples), batch_size):
             batch = samples[start:start + batch_size]
             model.forward(batch)

@@ -19,6 +19,7 @@ from .tensor import (
     as_tensor,
     conv1d,
     elu,
+    grad_enabled,
     make_op,
     pad_left,
 )
@@ -95,11 +96,19 @@ class BatchNorm1d:
             xhat *= inv
         else:
             inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(bshape)
+            if not grad_enabled():
+                # no backward will read xhat: normalize, scale and shift in
+                # the output buffer, by the same operations in the same order
+                out = x.data - self.running_mean.reshape(bshape)
+                out *= inv
+                out *= gamma_b
+                out += beta.data.reshape(bshape)
+                return Tensor(out)
             xhat = (x.data - self.running_mean.reshape(bshape)) * inv
 
         def backward(g):
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
-            accumulate_grad(beta, g.sum(axis=axes))
+            accumulate_grad(gamma, (g * xhat).sum(axis=axes), fresh=True)
+            accumulate_grad(beta, g.sum(axis=axes), fresh=True)
             if x.requires_grad:
                 dx = g * gamma_b
                 if mode == "train":
@@ -109,7 +118,7 @@ class BatchNorm1d:
                     dx -= m1
                     dx -= xhat * m2
                 dx *= inv
-                accumulate_grad(x, dx)
+                accumulate_grad(x, dx, fresh=True)
 
         out = xhat * gamma_b
         out += beta.data.reshape(bshape)
@@ -136,13 +145,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = centered * inv
 
     def backward(g):
-        accumulate_grad(gamma, g * xhat)
+        accumulate_grad(gamma, g * xhat, fresh=True)
         accumulate_grad(beta, g)
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            accumulate_grad(x, inv * (dxhat - m1 - xhat * m2))
+            accumulate_grad(x, inv * (dxhat - m1 - xhat * m2), fresh=True)
 
     return make_op(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm", backward)
 

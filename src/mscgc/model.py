@@ -124,6 +124,9 @@ class MscgcKanModel:
         init_rng = np.random.default_rng([cfg.seed, 0])
         self._dropout_rng = np.random.default_rng([cfg.seed, 1])
         self.mode = "train"
+        # Block output of the last forward, read by the interpretability
+        # exports. It keeps that forward's tape alive until the next forward,
+        # so forwards that are never differentiated run under `no_grad`.
         self.last_block_output: Tensor | None = None
 
         self.provider = FeatureProvider(cfg, init_rng)

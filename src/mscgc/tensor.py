@@ -6,11 +6,23 @@ references to its parents plus a monotonically increasing sequence number,
 and ``Tensor.backward`` replays the reachable ops in exact reverse execution
 order. Gradients are always accumulated (added into), never overwritten;
 zeroing is the caller's job. No op mutates its inputs.
+
+Inside a ``no_grad()`` scope no op joins the tape: its output keeps no
+parents and no backward closure, whatever its inputs require, so a forward
+that is never differentiated frees each intermediate as soon as the next op
+has read it. Ops that would otherwise keep extra arrays for their backward
+may then compute in their output buffer alone.
+
+Each ``.grad`` owns its buffer: it shares memory with no other ``.grad`` and
+with no ``.data``. A backward closure that has just built a gradient array
+which nothing else references hands it over with ``fresh=True`` and it is
+stored as is; any other first gradient, a view in particular, is copied.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +52,27 @@ def set_gradient_corruption(op_name: str, scale: float) -> None:
 def clear_gradient_corruption() -> None:
     global _CORRUPTION
     _CORRUPTION = None
+
+
+_GRAD_ENABLED = True
+
+
+@contextmanager
+def no_grad():
+    """Run the body without recording a tape; the prior state is restored on
+    exit, also on error, so scopes nest."""
+    global _GRAD_ENABLED
+    prior = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prior
+
+
+def grad_enabled() -> bool:
+    """False inside a `no_grad` scope."""
+    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -141,11 +174,12 @@ def make_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
 
     `backward` receives the output gradient and must route input gradients
     through `accumulate_grad`. The node joins the tape only when some parent
-    requires grad; layers that fuse several primitives into one node use
-    this too, and each such fusion is covered by the finite-difference gate.
+    requires grad and no `no_grad` scope is open; layers that fuse several
+    primitives into one node use this too, and each such fusion is covered
+    by the finite-difference gate.
     """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -153,18 +187,24 @@ def make_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
     return out
 
 
-def accumulate_grad(t: Tensor, grad: np.ndarray) -> None:
-    """Add `grad` into t.grad (allocating on first use); no-op unless t requires grad."""
+def accumulate_grad(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add `grad` into t.grad (allocating on first use); no-op unless t requires grad.
+
+    `fresh=True` promises that `grad` was just built by the caller and that
+    nothing else references it, so a first gradient is stored without a copy.
+    """
     if not t.requires_grad:
         return
     grad = _unbroadcast(grad, t.data.shape)
-    if t.grad is None:
-        # copy: incoming buffers may be shared with other backward closures
+    if t.grad is not None:
+        t.grad += grad
+    elif fresh and grad.shape == t.data.shape:
+        t.grad = np.asarray(grad)  # numpy hands back 0-d results as scalars
+    else:
+        # copy: the buffer may be another node's gradient or a view of one
         t.grad = np.array(grad, dtype=np.float64)
         if t.grad.shape != t.data.shape:
             t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
-    else:
-        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -204,7 +244,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         accumulate_grad(a, g)
-        accumulate_grad(b, -g)
+        accumulate_grad(b, -g, fresh=True)
 
     return make_op(data, (a, b), "sub", backward)
 
@@ -213,8 +253,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b, data = _broadcast("mul", np.multiply, a, b)
 
     def backward(g):
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
+        # a constant operand, e.g. a dropout mask, gets no gradient
+        if a.requires_grad:
+            accumulate_grad(a, g * b.data, fresh=True)
+        if b.requires_grad:
+            accumulate_grad(b, g * a.data, fresh=True)
 
     return make_op(data, (a, b), "mul", backward)
 
@@ -222,7 +265,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def elu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     # expm1(min(x,0)) + max(x,0) equals elu(x) exactly on both branches
-    data = np.expm1(np.minimum(x.data, 0.0))
+    data = np.minimum(x.data, 0.0, out=np.empty_like(x.data))
+    np.expm1(data, out=data)
     data += np.maximum(x.data, 0.0)
 
     def backward(g):
@@ -230,7 +274,7 @@ def elu(x: Tensor) -> Tensor:
         slope = np.minimum(data, 0.0)
         slope += 1.0
         slope *= g
-        accumulate_grad(x, slope)
+        accumulate_grad(x, slope, fresh=True)
 
     return make_op(data, (x,), "elu", backward)
 
@@ -242,7 +286,7 @@ def silu(x: Tensor) -> Tensor:
     data = x.data * sig
 
     def backward(g):
-        accumulate_grad(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+        accumulate_grad(x, g * sig * (1.0 + x.data * (1.0 - sig)), fresh=True)
 
     return make_op(data, (x,), "silu", backward)
 
@@ -252,7 +296,7 @@ def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
     def backward(g):
-        accumulate_grad(x, g * (1.0 - data * data))
+        accumulate_grad(x, g * (1.0 - data * data), fresh=True)
 
     return make_op(data, (x,), "tanh", backward)
 
@@ -262,7 +306,7 @@ def sin(x: Tensor) -> Tensor:
     data = np.sin(x.data)
 
     def backward(g):
-        accumulate_grad(x, g * np.cos(x.data))
+        accumulate_grad(x, g * np.cos(x.data), fresh=True)
 
     return make_op(data, (x,), "sin", backward)
 
@@ -272,7 +316,7 @@ def cos(x: Tensor) -> Tensor:
     data = np.cos(x.data)
 
     def backward(g):
-        accumulate_grad(x, g * -np.sin(x.data))
+        accumulate_grad(x, g * -np.sin(x.data), fresh=True)
 
     return make_op(data, (x,), "cos", backward)
 
@@ -281,7 +325,7 @@ def square(x: Tensor) -> Tensor:
     x = as_tensor(x)
 
     def backward(g):
-        accumulate_grad(x, g * 2.0 * x.data)
+        accumulate_grad(x, g * 2.0 * x.data, fresh=True)
 
     return make_op(x.data * x.data, (x,), "square", backward)
 
@@ -368,14 +412,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def backward(g):
-        accumulate_grad(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        # a constant operand, e.g. the input data, gets no gradient
+        if a.requires_grad:
+            accumulate_grad(a, np.matmul(g, b.data.swapaxes(-1, -2)), fresh=True)
+        if not b.requires_grad:
+            return
         if b.ndim == 2 and not b.data.flags.c_contiguous:
             # b is a transposed view, e.g. the W.T of a linear layer: form its
             # gradient as (g^T a)^T, a view whose transpose is row-major, so
             # W.grad is stored C-contiguous by contiguous copies only
-            accumulate_grad(b, np.matmul(g.swapaxes(-1, -2), a.data).swapaxes(-1, -2))
+            accumulate_grad(b, np.matmul(g.swapaxes(-1, -2), a.data).swapaxes(-1, -2), fresh=True)
         else:
-            accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g))
+            accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g), fresh=True)
 
     return make_op(data, (a, b), "matmul", backward)
 
@@ -409,16 +457,16 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(n * t_out, ch_out)
-        accumulate_grad(bias, g2.sum(axis=0))
+        accumulate_grad(bias, g2.sum(axis=0), fresh=True)
         dw = (g2.T @ cols).reshape(ch_out, k, ch_in).transpose(0, 2, 1)
-        accumulate_grad(kernels, np.ascontiguousarray(dw))
+        accumulate_grad(kernels, np.ascontiguousarray(dw), fresh=True)
         if x.requires_grad:
             # full correlation of the zero-padded output gradient with the
             # kernels flipped in time: wf[j * ch_out + o, i] = kernels[o, i, k-1-j]
             gp = np.zeros((n, t + k - 1, ch_out))
             gp[:, k - 1:k - 1 + t_out] = g
             wf = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * ch_out, ch_in)
-            accumulate_grad(x, (_taps(gp, k) @ wf).reshape(n, t, ch_in))
+            accumulate_grad(x, (_taps(gp, k) @ wf).reshape(n, t, ch_in), fresh=True)
 
     return make_op(out, (x, kernels, bias), "conv1d", backward)
 
@@ -456,7 +504,7 @@ def reduce_sum(x: Tensor, axes=None) -> Tensor:
         return x
 
     def backward(g):
-        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape).copy())
+        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape).copy(), fresh=True)
 
     return make_op(x.data.sum(axis=ax), (x,), "reduce_sum", backward)
 
@@ -470,7 +518,7 @@ def reduce_mean(x: Tensor, axes=None) -> Tensor:
     count = int(np.prod([x.data.shape[a] for a in ax]))
 
     def backward(g):
-        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape) / count)
+        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape) / count, fresh=True)
 
     return make_op(x.data.sum(axis=ax) / count, (x,), "reduce_mean", backward)
 
@@ -497,7 +545,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         grad = np.exp(log_probs)
         grad[np.arange(b), labels] -= 1.0
-        accumulate_grad(logits, float(g) * grad / b)
+        accumulate_grad(logits, float(g) * grad / b, fresh=True)
 
     return make_op(np.asarray(data), (logits,), "softmax_cross_entropy", backward)
 

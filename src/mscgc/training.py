@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericalError, ValidationError
 from .metrics import MetricsReport, report_from_predictions
 from .model import MscgcKanModel
-from .tensor import softmax_cross_entropy
+from .tensor import no_grad, softmax_cross_entropy
 
 # Decay skips biases, norm scales/shifts, and the adjacency logits (decaying
 # the adjacency pulls the graph back to the identity and erases learned
@@ -230,9 +230,10 @@ class TrainResult:
 
 
 def predict_labels(model: MscgcKanModel, samples: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Eval-mode argmax predictions, batched; restores the model's prior mode."""
+    """Eval-mode argmax predictions, batched and without a tape; restores the
+    model's prior mode."""
     preds = []
-    with model.eval_mode():
+    with model.eval_mode(), no_grad():
         for start in range(0, len(samples), batch_size):
             logits = model.forward(samples[start:start + batch_size])
             preds.append(np.argmax(logits.data, axis=1))

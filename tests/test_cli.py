@@ -284,6 +284,19 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_class_count_mismatch_exits_2_before_run_dir(self, workspace, trained, tmp_path,
+                                                          capsys):
+        spec_file = tmp_path / "four.json"
+        spec_file.write_text(json.dumps(dict(TINY_SPEC, M=4)))
+        assert main(["gen-data", "--spec", str(spec_file), "--out", str(tmp_path / "m4")]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(trained), "--data", str(tmp_path / "m4"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert "(C, S, P, M)" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+
 class TestAblate:
     def test_four_labeled_rows(self, workspace, tmp_path):
         root, _, config_file, data_dir = workspace

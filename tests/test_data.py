@@ -188,6 +188,13 @@ class TestTensorFiles:
         with pytest.raises(FormatError, match="offset"):
             read_tensor(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.mstf"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(FormatError, match="payload length 56 != expected 48"):
+            read_tensor(path)
+
     def test_int_payload(self, tmp_path):
         path = tmp_path / "labels.mstf"
         write_tensor(path, np.array([3, 1, 2]), dtype="i8")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from mscgc import graph, layers, tensor
 from mscgc.errors import DimensionError, UsageError, ValidationError
 from mscgc.layers import LinearLayer
 from mscgc.model import ModelConfig, MscgcKanModel
@@ -15,7 +16,9 @@ from mscgc.tensor import (
     conv1d,
     elu,
     finite_diff_check,
+    grad_enabled,
     matmul,
+    no_grad,
     pad_left,
     reduce_mean,
     reduce_sum,
@@ -130,6 +133,82 @@ class TestGradientLayout:
             g, x_in = product.grad, product._parents[0].data
             expected = np.ascontiguousarray((x_in.T @ g).T)
             assert layer.weight.grad.tobytes() == expected.tobytes()
+
+    def test_scalar_gradient_is_an_array(self):
+        x = Tensor(3.0, requires_grad=True)
+        (square(x) * x).backward()
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == () and x.grad == 27.0
+
+    @pytest.mark.parametrize("block", ["mcr", "identity"])
+    @pytest.mark.parametrize("kan", ["kan", "affine"])
+    @pytest.mark.parametrize("harmonics", [0, 2])
+    def test_gradients_own_their_buffers(self, monkeypatch, block, kan, harmonics):
+        """No .grad shares memory with another .grad or any .data, and handing
+        fresh gradients over without a copy changes no gradient bit."""
+
+        def train_step():
+            # default dropout 0.1, so dropout masks enter `mul` as constants
+            cfg = ModelConfig(C=4, S=3, D=5, P=6, M=3, hidden=7, out_dim=5, block=block,
+                              kan=kan, harmonics=harmonics, seed=2)
+            model = MscgcKanModel(cfg)
+            x = np.random.default_rng(3).normal(size=(8, 4, 3, 6))
+            loss = softmax_cross_entropy(model.forward(x), np.arange(8) % 3)
+            loss.backward()
+            return model, _reachable(loss)
+
+        model, nodes = train_step()
+        for name, p in model.named_parameters():
+            assert p.grad is not None and p.grad.flags.c_contiguous, name
+        grads = [n.grad for n in nodes if n.grad is not None]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+            assert not any(np.shares_memory(g, n.data) for n in nodes)
+
+        accumulate = tensor.accumulate_grad
+
+        def always_copy(t, grad, fresh=False):
+            accumulate(t, grad)
+
+        for module in (tensor, layers, graph):
+            monkeypatch.setattr(module, "accumulate_grad", always_copy)
+        _, copied = train_step()
+        assert [n._op for n in nodes] == [n._op for n in copied]
+        for n, c in zip(nodes, copied):
+            assert (n.grad is None) == (c.grad is None), n._op
+            if n.grad is not None:
+                assert n.grad.shape == c.grad.shape and n.grad.tobytes() == c.grad.tobytes(), n._op
+
+
+def _reachable(root: Tensor) -> list:
+    """Every tensor `root` was computed from, constants included, in creation order."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return sorted(seen.values(), key=lambda n: n._seq)
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with no_grad():
+            out = elu(matmul(Tensor(np.ones((4, 3))), w))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert elu(matmul(Tensor(np.ones((4, 3))), w)).requires_grad
+
+    def test_scope_nests_and_restores_on_error(self):
+        assert grad_enabled()
+        with no_grad():
+            with no_grad():
+                assert not grad_enabled()
+            assert not grad_enabled()
+        assert grad_enabled()
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError("inside the scope")
+        assert grad_enabled()
 
 
 class TestConv1d:

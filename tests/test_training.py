@@ -2,14 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mscgc.data import SynthSpec, gen_synthetic, split_dataset
 from mscgc.errors import ConfigError, DimensionError, NumericalError
-from mscgc.model import ModelConfig, MscgcKanModel
-from mscgc.tensor import Tensor
+from mscgc.model import ABLATION_VARIANTS, ModelConfig, MscgcKanModel
+from mscgc.tensor import Tensor, no_grad
 from mscgc.training import (
     ADAMW_BLOCK,
     AdamW,
@@ -18,6 +19,7 @@ from mscgc.training import (
     adamw_step,
     clip_gradients,
     cosine_lr,
+    evaluate_model,
     predict_labels,
     train_loop,
 )
@@ -300,6 +302,55 @@ class TestPredictLabels:
         with pytest.raises(DimensionError):
             predict_labels(model, np.zeros((3, 6, 8, 4)))
         assert model.mode == "train"
+
+
+class TestEvalWithoutTape:
+    """Eval forwards run under `no_grad`: the same logits as a taped forward,
+    and nothing of a tape is kept afterwards."""
+
+    @pytest.mark.parametrize("variant", list(ABLATION_VARIANTS))
+    @pytest.mark.parametrize("harmonics", [0, 2])
+    def test_logits_and_predictions_bitwise_equal_to_taped(self, variant, harmonics):
+        block, kan = ABLATION_VARIANTS[variant]
+        model = MscgcKanModel(ModelConfig(C=4, S=6, D=5, P=7, M=3, hidden=9, out_dim=6,
+                                          block=block, kan=kan, harmonics=harmonics, seed=4))
+        rng = np.random.default_rng(5)
+        for _, buf in model.named_buffers():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)  # running stats away from (0, 1)
+        x = rng.normal(size=(11, 4, 6, 7))
+        with model.eval_mode():
+            taped = model.forward(x)
+            assert taped.requires_grad
+            with no_grad():
+                bare = model.forward(x)
+        assert not bare.requires_grad
+        assert bare.data.tobytes() == taped.data.tobytes()
+        np.testing.assert_array_equal(predict_labels(model, x, batch_size=4),
+                                      np.argmax(taped.data, axis=1))
+
+    def test_last_block_output_keeps_no_tape(self):
+        _, _, model = tiny_setup()
+        x = np.random.default_rng(6).normal(size=(20, 6, 8, 10))
+        evaluate_model(model, x, np.arange(20) % 2, 2, batch_size=8)
+        h = model.last_block_output
+        assert h.shape == (4, 6, 8, model.cfg.D)
+        assert h._parents == () and h._backward is None and not h.requires_grad
+
+    def test_eval_pass_holds_about_one_batch(self):
+        # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB,
+        # and a taped pass left the whole tape of its last batch, ~240 MB
+        model = MscgcKanModel(ModelConfig(C=16, S=10, D=32, P=24, M=4, hidden=48,
+                                          out_dim=24, seed=0))
+        x = np.random.default_rng(7).normal(size=(512, 16, 10, 24))
+        activation = 256 * 16 * 10 * 32 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_model(model, x, np.arange(512) % 4, 4, batch_size=256)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * activation, f"{held / 2**20:.1f} MB held after an eval pass"
 
 
 class TestTrainConfig:
