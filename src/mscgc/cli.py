@@ -177,6 +177,8 @@ def cmd_ablate(args, overrides) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be at least 0, got {args.seeds!r}")
     # check both configs before anything is written
     cfg.model_config()
     cfg.train_config()
@@ -226,6 +228,8 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.corrupt:
         set_gradient_corruption(args.corrupt, 1.01)
     try:
@@ -302,8 +306,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (MscgcError, FileNotFoundError, NotADirectoryError, json.JSONDecodeError) as exc:
-        # every other package error is an input, config or usage error
+    except (MscgcError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # every other package error, and a file that cannot be read, is an
+        # input, config or usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

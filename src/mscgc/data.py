@@ -277,17 +277,29 @@ def split_dataset(meta: dict, protocol: str, ratios) -> DatasetSplit:
 # -- tensor files ------------------------------------------------------------
 
 
+def _write_file(path, magic: bytes, header: dict, arrays) -> None:
+    """Write a magic line, a sorted JSON header line and C-order payloads to a temporary
+    file in the same directory, then rename it over `path`: a failed write leaves no trace."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic + b"\n" + json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for arr in arrays:
+                fh.write(np.ascontiguousarray(arr))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensor(path, tensor, name: str = "tensor", dtype: str = "f8") -> None:
     """Write one tensor: magic line, JSON header line, little-endian payload."""
     if dtype not in _DTYPES:
         raise ConfigError(f"unsupported dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
-    header = json.dumps({"dtype": dtype, "shape": list(arr.shape), "name": name},
-                        sort_keys=True)
-    with open(path, "wb") as fh:
-        fh.write(MSTF_MAGIC + b"\n")
-        fh.write(header.encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(arr.astype(_DTYPES[dtype])))
+    _write_file(path, MSTF_MAGIC, {"dtype": dtype, "shape": list(arr.shape), "name": name},
+                [np.asarray(arr, dtype=_DTYPES[dtype])])
 
 
 def _read_header(fh, magic: bytes, keys: tuple[str, ...]) -> dict:
@@ -315,30 +327,34 @@ def _shape(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _payload_start(fh, expected: int) -> int:
+    """Check that exactly `expected` payload bytes follow the header; return their offset."""
+    offset = fh.tell()
+    held = os.fstat(fh.fileno()).st_size - offset
+    if held != expected:
+        problem = "truncated payload" if held < expected else "trailing bytes"
+        raise FormatError(f"{problem}: payload length {held} != expected {expected} bytes "
+                          f"at offset {offset}")
+    return offset
+
+
+def _readinto(fh, arr: np.ndarray) -> np.ndarray:
+    """Fill C-contiguous `arr` from the file with no intermediate bytes object. The
+    caller has checked the file size, so a short read means the file changed under us."""
+    if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+        raise FormatError(f"payload ended early at offset {fh.tell()}")
+    return arr
+
+
 def read_tensor(path):
     with open(path, "rb") as fh:
         header = _read_header(fh, MSTF_MAGIC, ("dtype", "shape", "name"))
         if header["dtype"] not in _DTYPES:
             raise FormatError(f"unsupported dtype {header['dtype']!r} in header")
-        np_dtype = np.dtype(_DTYPES[header["dtype"]])
         shape = _shape(header["shape"], "tensor header")
-        expected = math.prod(shape) * np_dtype.itemsize
-        offset = fh.tell()
-        held = os.fstat(fh.fileno()).st_size - offset
-        if held != expected:
-            raise FormatError(
-                f"payload length {held} != expected {expected} bytes at offset {offset}")
-        return _read_payload(fh, shape, np_dtype)
-
-
-def _read_payload(fh, shape, dtype) -> np.ndarray:
-    """Read one array straight into a new buffer, with no intermediate bytes
-    object. The caller has checked the file size, so a short read means the
-    file changed under us."""
-    arr = np.empty(shape, dtype=dtype)
-    if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-        raise FormatError(f"payload ended early at offset {fh.tell()}")
-    return arr
+        dtype = np.dtype(_DTYPES[header["dtype"]])
+        _payload_start(fh, math.prod(shape) * dtype.itemsize)
+        return _readinto(fh, np.empty(shape, dtype))
 
 
 # -- datasets on disk --------------------------------------------------------
@@ -415,32 +431,14 @@ def _collect_checkpoint_tensors(model, optimizer=None):
 
 
 def save_checkpoint(path, model, optimizer=None, epoch: int = 0, val_kappa: float = 0.0) -> None:
-    """Persist model parameters, norm buffers, and optimizer state bit-exactly.
-
-    The file is written under a temporary name in the same directory and then
-    renamed over `path`, so a failed write leaves any previous checkpoint whole.
-    """
+    """Persist model parameters, norm buffers, and optimizer state bit-exactly,
+    written atomically (see `_write_file`)."""
     named = _collect_checkpoint_tensors(model, optimizer)
-    header = {
-        "config": asdict(model.cfg),
-        "config_hash": model.cfg.config_hash(),
-        "epoch": int(epoch),
-        "val_kappa": float(val_kappa),
-        "tensors": [{"name": n, "dtype": "f8", "shape": list(np.asarray(a).shape)}
-                    for n, a in named],
-    }
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC + b"\n")
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            for _, arr in named:
-                fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    header = {"config": asdict(model.cfg), "config_hash": model.cfg.config_hash(),
+              "epoch": int(epoch), "val_kappa": float(val_kappa),
+              "tensors": [{"name": n, "dtype": "f8", "shape": list(np.asarray(a).shape)}
+                          for n, a in named]}
+    _write_file(path, CKPT_MAGIC, header, (np.asarray(a, dtype="<f8") for _, a in named))
 
 
 def _read_checkpoint_header(fh) -> dict:
@@ -467,31 +465,36 @@ def _check_config_hash(header: dict, cfg) -> None:
 
 
 def load_checkpoint(path, model, optimizer=None) -> dict:
-    """Restore state saved by save_checkpoint; returns the header."""
+    """Restore state saved by save_checkpoint into the live arrays; returns the header.
+
+    Names, shapes, lengths and the step count are checked before any array is
+    filled, so a rejected file changes nothing. Unrestored payloads are skipped."""
     with open(path, "rb") as fh:
         header = _read_checkpoint_header(fh)
         _check_config_hash(header, model.cfg)
-        sizes = [math.prod(e["shape"]) * 8 for e in header["tensors"]]
-        start = fh.tell()
-        held = os.fstat(fh.fileno()).st_size - start
-        if held != sum(sizes):
-            problem = "truncated payload" if held < sum(sizes) else "trailing bytes"
-            raise FormatError(f"{problem}: header lists {sum(sizes)} payload bytes after "
-                              f"offset {start}, file holds {held}")
-        loaded = {e["name"]: _read_payload(fh, e["shape"], "<f8") for e in header["tensors"]}
-
-    # Parameters, buffers and optimizer moments are copied into the live
-    # arrays; the step count is a 0-d copy, so it is set afterwards.
-    for key, target in _collect_checkpoint_tensors(model, optimizer):
-        if key not in loaded:
-            raise CompatibilityError(f"checkpoint missing {key}")
-        if loaded[key].shape != target.shape:
-            raise CompatibilityError(f"{key}: shape {loaded[key].shape} != {target.shape}")
-        target[...] = loaded[key]
+        listed, size = {}, 0  # name -> (offset within the payload, shape)
+        for e in header["tensors"]:
+            listed[e["name"]] = (size, tuple(e["shape"]))
+            size += math.prod(e["shape"]) * 8
+        live = _collect_checkpoint_tensors(model, optimizer)
+        for key, target in live:
+            if key not in listed:
+                raise CompatibilityError(f"checkpoint missing {key}")
+            if listed[key][1] != target.shape:
+                raise CompatibilityError(f"{key}: shape {listed[key][1]} != {target.shape}")
+            # a non-contiguous target would be filled through a copy and lose the data
+            if target.dtype != np.dtype("<f8") or not target.flags.c_contiguous:
+                raise CompatibilityError(f"{key}: live array is not C-contiguous float64")
+        start = _payload_start(fh, size)
+        if optimizer is not None:
+            fh.seek(start + listed["opt.step_count"][0])
+            step = float(np.frombuffer(fh.read(8), "<f8")[0])
+            if not step.is_integer() or step < 0:
+                raise FormatError(f"optimizer step count {step} is not a nonnegative integer")
+        for key, target in live:
+            fh.seek(start + listed[key][0])
+            _readinto(fh, target)
     if optimizer is not None:
-        step = float(loaded["opt.step_count"])
-        if not step.is_integer() or step < 0:
-            raise FormatError(f"optimizer step count {step} is not a nonnegative integer")
         optimizer.step_count = int(step)
     return header
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -37,6 +38,11 @@ ABLATION_VARIANTS = {
 }
 
 
+def is_int(value, minimum: int) -> bool:
+    """An int or numpy integer, not a bool, of at least `minimum`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
+
+
 @dataclass
 class ModelConfig:
     C: int = 16
@@ -58,9 +64,20 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("C", "S", "D", "P", "M", "hidden", "out_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("C", "S", "D", "P", "M", "hidden", "out_dim", "harmonics", "seed"):
+            value = getattr(self, name)
+            minimum = 0 if name in ("harmonics", "seed") else 1
+            if not is_int(value, minimum):
+                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer would not hash
+        for name, within, what in (("bn_eps", lambda v: 0 < v < math.inf, "> 0 and finite"),
+                                   ("bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]"),
+                                   ("dropout", lambda v: 0 <= v < 1, "in [0, 1)")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not within(value):
+                raise ConfigError(f"{name} must be a number {what}, got {value!r}")
+        if not isinstance(self.provider_trainable, bool):
+            raise ConfigError(f"provider_trainable must be a bool, got {self.provider_trainable!r}")
         if self.provider not in PROVIDER_KINDS:
             raise ConfigError(f"provider must be one of {PROVIDER_KINDS}, got {self.provider!r}")
         if self.block not in BLOCK_MODES:
@@ -74,8 +91,6 @@ class ModelConfig:
                 and all(is_whole_number(k, 1) for k in self.kernels)):
             raise ConfigError(f"kernels must be a nonempty list of integers >= 1, got {self.kernels!r}")
         self.kernels = tuple(int(k) for k in self.kernels)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError, ValidationError
 from .metrics import MetricsReport, report_from_predictions
-from .model import MscgcKanModel
+from .model import MscgcKanModel, is_int
 from .tensor import no_grad, softmax_cross_entropy
 
 # Decay skips biases, norm scales/shifts, and the adjacency logits (decaying
@@ -53,6 +53,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.weight_decay >= 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if not is_int(self.seed, 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.lr_min > min(self.lr_backbone, self.lr_head):
             raise ConfigError("lr_min must not exceed the base learning rates")
         self.betas = tuple(float(b) for b in self.betas)

@@ -1,6 +1,7 @@
 """Command-line interface: commands, outputs, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -295,6 +296,65 @@ class TestEval:
         assert code == 2
         assert "(C, S, P, M)" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+
+class TestUnusableInputs:
+    """Values and files that cannot be used end in `error: ...` and exit 2,
+    before any run directory is made, never in a traceback."""
+
+    @pytest.mark.parametrize("command,extra", [("train", ["--train.seed=-1"]),
+                                               ("ablate", ["--seeds=0,-1"])])
+    def test_negative_seed_exits_2_before_run_dir(self, workspace, tmp_path, command, extra,
+                                                  capsys):
+        _, _, config_file, data_dir = workspace
+        code = main([command, "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "r"), *extra])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_gradcheck_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed")
+
+    @pytest.mark.parametrize("key,value", [("C", 2.5), ("hidden", True), ("harmonics", 2.0),
+                                           ("bn_eps", -1.0), ("bn_momentum", 2.0),
+                                           ("provider_trainable", "no"), ("seed", -1)])
+    def test_invalid_config_in_rehashed_checkpoint_exits_2(self, workspace, trained, tmp_path,
+                                                           key, value, capsys):
+        _, _, _, data_dir = workspace
+        magic, header, payload = trained.read_bytes().split(b"\n", 2)
+        doc = json.loads(header)
+        doc["config"][key] = value
+        # a matching hash, so only the value itself can be at fault
+        doc["config_hash"] = hashlib.sha256(
+            json.dumps(doc["config"], sort_keys=True).encode("utf-8")).hexdigest()[:16]
+        ckpt = tmp_path / "m.ckpt"
+        ckpt.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
+        code = main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("flag,content", [("--config", b"\xff\xfe{}"), ("--config", None),
+                                              ("--checkpoint", None), ("--spec", b"{\"seed\": \xe9}")])
+    def test_unreadable_input_file_exits_2(self, workspace, trained, tmp_path, flag, content,
+                                           capsys):
+        _, _, config_file, data_dir = workspace
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        command = {"--config": ["train"], "--checkpoint": ["eval"], "--spec": ["gen-data"]}[flag]
+        if flag != "--spec":
+            command += ["--data", str(data_dir)]
+        code = main([*command, "--out", str(tmp_path / "r"), flag, str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r").exists()
 
 
 class TestAblate:

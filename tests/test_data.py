@@ -1,6 +1,11 @@
 """Synthetic generation, split protocols, tensor files, checkpoints."""
 
 import json
+import math
+import os
+import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscgc.data import (
+    _DTYPES,
+    CKPT_MAGIC,
+    MSTF_MAGIC,
     SynthSpec,
     build_model_from_checkpoint,
     gen_synthetic,
@@ -22,6 +30,7 @@ from mscgc.data import (
 )
 from mscgc.errors import CompatibilityError, ConfigError, FormatError, MscgcError
 from mscgc.model import ModelConfig, MscgcKanModel
+from mscgc.tensor import Tensor, softmax_cross_entropy
 from mscgc.training import AdamW, TrainConfig
 
 
@@ -464,3 +473,163 @@ class TestCorruptFiles:
                 call()
             except MscgcError:
                 pass
+
+
+# The writers as they stood before `_write_file` took over, kept verbatim
+# (renamed) so the bytes on disk are pinned to them.
+def _old_write_tensor(path, tensor, name: str = "tensor", dtype: str = "f8") -> None:
+    arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
+    header = json.dumps({"dtype": dtype, "shape": list(arr.shape), "name": name},
+                        sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(MSTF_MAGIC + b"\n")
+        fh.write(header.encode("utf-8") + b"\n")
+        fh.write(np.ascontiguousarray(arr.astype(_DTYPES[dtype])))
+
+
+def _old_save_checkpoint(path, model, optimizer=None, epoch: int = 0, val_kappa: float = 0.0):
+    named = [("param." + n, p.data) for n, p in model.named_parameters()]
+    named += [("buffer." + n, b) for n, b in model.named_buffers()]
+    if optimizer is not None:
+        named += [("opt." + n, b) for n, b in optimizer.named_state()]
+    header = {
+        "config": asdict(model.cfg),
+        "config_hash": model.cfg.config_hash(),
+        "epoch": int(epoch),
+        "val_kappa": float(val_kappa),
+        "tensors": [{"name": n, "dtype": "f8", "shape": list(np.asarray(a).shape)}
+                    for n, a in named],
+    }
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC + b"\n")
+            fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for _, arr in named:
+                fh.write(np.ascontiguousarray(np.asarray(arr, dtype="<f8")))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _trained(data_seed):
+    """A model and optimizer of one config whose parameters, running statistics,
+    moments and step count are moved off their initial values by `data_seed`."""
+    model = MscgcKanModel(ModelConfig(C=4, S=6, D=5, P=7, M=3, hidden=6, out_dim=4))
+    opt = AdamW(model.parameter_groups(), TrainConfig())
+    rng = np.random.default_rng(data_seed)
+    x = rng.normal(size=(3, 4, 6, 7))
+    for _ in range(data_seed % 3 + 1):
+        model.zero_grads()
+        softmax_cross_entropy(model.forward(x), rng.integers(0, 3, size=3)).backward()
+        opt.step({"backbone": 1e-3, "head": 1e-2})
+    return model, opt
+
+
+def _state(model, opt=None):
+    """Bytes of every array a checkpoint restores, plus the step count."""
+    named = [(n, p.data) for n, p in model.named_parameters()] + model.named_buffers()
+    if opt is not None:
+        named += opt.named_state()
+    return {n: (a.shape, a.tobytes()) for n, a in named}
+
+
+class TestOneWriterOneReader:
+    """Both formats go through one writer and one read path; the bytes on disk
+    are the same as before, and a checkpoint fills the live arrays in place."""
+
+    @pytest.mark.parametrize("dtype", ["f8", "f4", "i8"])
+    def test_tensor_bytes_unchanged(self, tmp_path, dtype):
+        arr = np.random.default_rng(0).normal(size=(3, 4, 5)) * 100
+        for tensor in (arr, arr[:, ::2].T, np.float64(2.5), Tensor(arr[0])):
+            write_tensor(tmp_path / "new.mstf", tensor, name="x", dtype=dtype)
+            _old_write_tensor(tmp_path / "old.mstf", tensor, name="x", dtype=dtype)
+            assert (tmp_path / "new.mstf").read_bytes() == (tmp_path / "old.mstf").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.mstf", "old.mstf"]
+
+    @pytest.mark.parametrize("with_opt", [False, True])
+    def test_checkpoint_bytes_unchanged(self, tmp_path, with_opt):
+        model, opt = _trained(4)
+        opt = opt if with_opt else None
+        save_checkpoint(tmp_path / "new.ckpt", model, opt, epoch=3, val_kappa=0.25)
+        _old_save_checkpoint(tmp_path / "old.ckpt", model, opt, epoch=3, val_kappa=0.25)
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+
+    def test_old_checkpoint_loads_bitwise(self, tmp_path):
+        model, opt = _trained(5)
+        _old_save_checkpoint(tmp_path / "old.ckpt", model, opt, epoch=2, val_kappa=0.5)
+        fresh, fresh_opt = _trained(7)
+        assert load_checkpoint(tmp_path / "old.ckpt", fresh, fresh_opt)["epoch"] == 2
+        assert _state(fresh, fresh_opt) == _state(model, opt)
+        assert fresh_opt.step_count == opt.step_count
+
+    def test_moments_are_skipped_without_an_optimizer(self, tmp_path):
+        model, opt = _trained(5)
+        save_checkpoint(tmp_path / "m.ckpt", model, opt)
+        fresh, _ = _trained(7)
+        load_checkpoint(tmp_path / "m.ckpt", fresh)
+        assert _state(fresh) == _state(model)
+
+    def test_rejected_checkpoint_changes_nothing(self, tmp_path):
+        model, opt = _trained(5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(header)
+        last_v = [e for e in doc["tensors"] if e["name"].startswith("opt.v.")][-1]
+        # same element count, so the payload length still matches the header
+        last_v["shape"] = [math.prod(last_v["shape"])] + ([1] if len(last_v["shape"]) == 1 else [])
+        path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + payload)
+        fresh, fresh_opt = _trained(7)
+        before, step = _state(fresh, fresh_opt), fresh_opt.step_count
+        with pytest.raises(CompatibilityError, match=last_v["name"]):
+            load_checkpoint(path, fresh, fresh_opt)
+        assert _state(fresh, fresh_opt) == before
+        assert fresh_opt.step_count == step
+
+    def test_bad_step_count_changes_nothing(self, tmp_path):
+        model, opt = _trained(5)
+        opt.step_count = 0.5
+        save_checkpoint(tmp_path / "m.ckpt", model, opt)
+        fresh, fresh_opt = _trained(7)
+        before = _state(fresh, fresh_opt)
+        with pytest.raises(FormatError, match="step count"):
+            load_checkpoint(tmp_path / "m.ckpt", fresh, fresh_opt)
+        assert _state(fresh, fresh_opt) == before
+
+    def test_non_contiguous_live_array_rejected_before_reading(self, tmp_path):
+        model, _ = _trained(5)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        fresh, _ = _trained(7)
+        name, weight = next((n, p) for n, p in fresh.named_parameters() if p.data.ndim == 2)
+        weight.data = np.asfortranarray(weight.data)
+        before = _state(fresh)
+        with pytest.raises(CompatibilityError, match=f"param.{name}"):
+            load_checkpoint(tmp_path / "m.ckpt", fresh)
+        assert _state(fresh) == before
+
+    def test_load_allocates_nothing_at_paper_width(self, tmp_path):
+        cfg = ModelConfig(hidden=512, out_dim=64, block="identity")
+        model = MscgcKanModel(cfg)
+        opt = AdamW(model.parameter_groups(), TrainConfig())
+        save_checkpoint(tmp_path / "m.ckpt", model, opt)
+        checkpoint_bytes = (tmp_path / "m.ckpt").stat().st_size
+        assert checkpoint_bytes > 60e6
+        tracemalloc.start()
+        try:
+            load_checkpoint(tmp_path / "m.ckpt", model, opt)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tracemalloc.clear_traces()
+            build_model_from_checkpoint(tmp_path / "m.ckpt")
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tracemalloc.clear_traces()
+            MscgcKanModel(cfg)
+            model_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_peak < 1e6
+        assert abs(build_peak - model_peak) < 1e6

@@ -76,6 +76,34 @@ class TestFeatureProvider:
         with pytest.raises(ConfigError, match="dropout"):
             ModelConfig(dropout=dropout, block=block)
 
+    @pytest.mark.parametrize("field,value", [
+        ("C", 2.5), ("S", 3.0), ("hidden", True), ("out_dim", "4"), ("harmonics", 2.0),
+        ("harmonics", True), ("seed", -1), ("seed", 1.0), ("seed", False),
+        ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", float("inf")), ("bn_eps", float("nan")),
+        ("bn_eps", True), ("bn_momentum", 2.0), ("bn_momentum", -0.1), ("bn_momentum", "0.1"),
+        ("bn_momentum", float("nan")), ("provider_trainable", "no"), ("provider_trainable", 1),
+        ("dropout", "0.1"), ("dropout", True)])
+    def test_values_that_would_fail_later_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value})
+
+    def test_numpy_integers_count_as_ints(self):
+        cfg = ModelConfig(C=np.int64(4), harmonics=np.int32(2), seed=np.uint8(3))
+        assert (type(cfg.C), type(cfg.harmonics), type(cfg.seed)) == (int, int, int)
+        assert cfg.config_hash() == ModelConfig(C=4, harmonics=2, seed=3).config_hash()
+
+    @pytest.mark.parametrize("overrides,expected", [
+        ({}, "4431c4a1622a29f5"),
+        (dict(C=4, S=6, D=5, P=7, M=3, hidden=6, out_dim=4, seed=3), "2531a8e2af65a4d6"),
+        (dict(harmonics=2, kernels=[2, 7], bn_eps=1, bn_momentum=0, dropout=0,
+              provider_trainable=False, block="identity", kan="affine", seed=12),
+         "bb962258c059ae7d"),
+        (dict(provider="file_features", P=32, harmonics=3, bn_momentum=1.0, bn_eps=0.5),
+         "3774cfd2d7a60a15")])
+    def test_config_hash_is_stable(self, overrides, expected):
+        # checkpoints store this hash, so a valid config must keep it
+        assert ModelConfig(**overrides).config_hash() == expected
+
 
 class TestModelForward:
     def test_low_density_montage_logits(self):

@@ -372,6 +372,7 @@ class TestTrainConfig:
         ("epochs", 0), ("batch_size", 0), ("eval_batch_size", 0), ("batch_size", -4),
         ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", float("nan")),
         ("weight_decay", -1e-3), ("adam_eps", 0.0), ("adam_eps", -1e-8),
+        ("seed", -1), ("seed", 1.5), ("seed", 2.0), ("seed", True), ("seed", "3"),
     ])
     def test_values_that_break_training_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
