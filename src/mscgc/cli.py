@@ -211,6 +211,8 @@ def cmd_ablate(args, overrides) -> int:
 
 
 def cmd_interpret(args) -> int:
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset = dio.load_dataset(args.data)
     check_dataset_geometry(model, dataset)

@@ -51,12 +51,15 @@ def _coerce(key: str, value):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} expects a boolean, got {value!r}")
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, (int, float)):
+        # bool is an int subclass: true/false must not pass as 1/0
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} expects a number, got {value!r}")
+        if isinstance(default, float):
+            return float(value)
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"{key} expects an integer, got {value!r}")
         return int(value)
-    if isinstance(default, float):
-        return float(value)
     if isinstance(default, (list, tuple)):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} expects a list, got {value!r}")

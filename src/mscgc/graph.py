@@ -8,6 +8,11 @@ buffer, so the residual sum is well defined, the post-residual batch norm
 treats C as its channel axis, and the block output is a C-contiguous
 (B, C, S, D) whose (C, S, D) flatten is free too. `temporal_path`, kept for
 the causality checks, returns the fused branches as (B*C, D, S), time last.
+
+In eval mode inside a `no_grad` scope the block runs as plain numpy, a few
+samples at a time, so each block's im2col and activations stay in cache
+(`MCRBlock._eval_blocks`). It calls the taped ops' own batch-norm and ELU
+helpers; train mode, and any forward that records a tape, runs per op.
 """
 
 from __future__ import annotations
@@ -17,8 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ValidationError
-from .layers import BatchNorm1d, CausalBranch, Dropout, check_mode
-from .tensor import Tensor, accumulate_grad, as_tensor, elu, make_op, matmul
+from .layers import BatchNorm1d, CausalBranch, Dropout, check_mode, normalize, scale_shift
+from .tensor import (Tensor, accumulate_grad, as_tensor, elu, elu_into, grad_enabled, make_op,
+                     matmul, taps_view)
+
+# Im2col bytes per sample block of the tape-free eval forward: 3 desk samples
+# (200 KB each), whose im2col and activations fit a per-core L2 cache.
+EVAL_BLOCK_BYTES = 3 << 18
 
 
 class AdjacencyParams:
@@ -54,9 +64,7 @@ def normalize_adjacency(params: AdjacencyParams) -> Tensor:
     if not np.isfinite(a.data).all():
         raise ValidationError("adjacency parameters contain non-finite values")
     c = params.channels
-    tilde = np.expm1(np.minimum(a.data, 0.0))
-    tilde += np.maximum(a.data, 0.0)
-    tilde = tilde + np.eye(c)
+    tilde = elu_into(a.data, np.empty((c, c))) + np.eye(c)
     row = np.abs(tilde).sum(axis=1)
     deg = np.maximum(row, params.eps_deg)
     r = deg ** -0.5
@@ -150,12 +158,56 @@ class MCRBlock:
     def __call__(self, f: Tensor, mode: str) -> Tensor:
         check_mode(mode)
         f = as_tensor(f)
-        fused = multiscale_fuse(self._temporal_view(f), self.branches, mode)
+        view = self._temporal_view(f)
         b, c, s, d = f.shape
+        if mode == "eval" and not grad_enabled() and b * c > 1:
+            return Tensor(self._eval_blocks(f.data))
+        fused = multiscale_fuse(view, self.branches, mode)
         a_hat = normalize_adjacency(self.adjacency)
         z = graph_propagate(fused.reshape(b, c, s * d), a_hat)
         h_sp = residual_postnorm(z, f.reshape(b, c, s * d), self.post_bn, self.post_dropout, mode)
         return h_sp.reshape(b, c, s, d)
+
+    def _eval_blocks(self, f: np.ndarray) -> np.ndarray:
+        """The eval block without a tape, m samples at a time: one left pad
+        of max(k) - 1, one tap-major im2col whose last k taps feed branch k,
+        then the taped path's operations in its order. Smaller blocks than
+        the batch are bitwise the taped output where the BLAS rounds a row
+        independently of the row count, as OpenBLAS does at D = 32 and 200
+        (not at every width). The taped `taps` of one sequence is a view
+        that numpy multiplies without BLAS, unlike this copied im2col, so a
+        block holds two sequences or more and a one-sequence batch runs per op.
+        """
+        b, c, s, d = f.shape
+        kmax = max(self.kernel_sizes)
+        m = min(b, max(EVAL_BLOCK_BYTES // (c * s * kmax * d * 8), -(-2 // c)))
+        branches = [(k * d, br.kernels.data.transpose(2, 1, 0).reshape(k * d, d), br.bias.data,
+                     br.bn.eval_affine(2)) for k, br in zip(self.kernel_sizes, self.branches)]
+        a_hat = normalize_adjacency(self.adjacency).data
+        mean, inv, gamma, beta = self.post_bn.eval_affine(3)
+        padded = np.zeros((m * c, s + kmax - 1, d))
+        windows = taps_view(padded, kmax)
+        cols = np.empty((m * c * s, kmax * d))
+        fused, scratch = np.empty((2, m * c * s, d))
+        out = np.empty(f.shape)
+        for lo in range(0, b, m):
+            lo = min(lo, b - m)
+            x = f[lo:lo + m]
+            padded[:, kmax - 1:] = x.reshape(m * c, s, d)
+            # branch k reads the last k taps of the max(k) window
+            cols.reshape(windows.shape)[...] = windows
+            for i, (width, w, bias, bn) in enumerate(branches):
+                y = cols[:, kmax * d - width:] @ w
+                y += bias
+                scale_shift(normalize(y, *bn[:2], out=y), *bn[2:], out=y)
+                elu_into(y, scratch if i else fused)
+                if i:
+                    fused += scratch
+            z = a_hat @ fused.reshape(m, c, s * d)
+            z += x.reshape(m, c, s * d)
+            scale_shift(normalize(z, mean, inv, out=z), gamma, beta, out=z)
+            elu_into(z, out[lo:lo + m].reshape(m, c, s * d))
+        return out
 
     def named_parameters(self, prefix: str = ""):
         named = []

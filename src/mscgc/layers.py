@@ -19,7 +19,6 @@ from .tensor import (
     as_tensor,
     conv1d,
     elu,
-    grad_enabled,
     make_op,
     pad_left,
 )
@@ -53,6 +52,18 @@ class LinearLayer:
         return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
 
 
+def normalize(x: np.ndarray, mean: np.ndarray, inv: np.ndarray, out=None) -> np.ndarray:
+    """(x - mean) * inv, written into `out` when it is given (it may be x)."""
+    out = np.subtract(x, mean, out=out)
+    return np.multiply(out, inv, out=out)
+
+
+def scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None) -> np.ndarray:
+    """xhat * gamma + beta, written into `out` when it is given (it may be xhat)."""
+    out = np.multiply(xhat, gamma, out=out)
+    return np.add(out, beta, out=out)
+
+
 class BatchNorm1d:
     """Batch normalization over every axis except the channel axis (axis 1).
 
@@ -78,9 +89,7 @@ class BatchNorm1d:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise DimensionError(f"batch norm: expected channels {self.channels} on axis 1, got {x.shape}")
         axes = tuple(a for a in range(x.ndim) if a != 1)
-        bshape = tuple(self.channels if a == 1 else 1 for a in range(x.ndim))
         gamma, beta = self.gamma, self.beta
-        gamma_b = gamma.data.reshape(bshape)
         if mode == "train":
             count = x.size // self.channels
             if count < 2:
@@ -94,17 +103,10 @@ class BatchNorm1d:
             inv = 1.0 / np.sqrt(var + self.eps)
             xhat = centered
             xhat *= inv
+            gamma_b, beta_b = (p.data.reshape(mean.shape) for p in (gamma, beta))
         else:
-            inv = (1.0 / np.sqrt(self.running_var + self.eps)).reshape(bshape)
-            if not grad_enabled():
-                # no backward will read xhat: normalize, scale and shift in
-                # the output buffer, by the same operations in the same order
-                out = x.data - self.running_mean.reshape(bshape)
-                out *= inv
-                out *= gamma_b
-                out += beta.data.reshape(bshape)
-                return Tensor(out)
-            xhat = (x.data - self.running_mean.reshape(bshape)) * inv
+            mean, inv, gamma_b, beta_b = self.eval_affine(x.ndim)
+            xhat = normalize(x.data, mean, inv)
 
         def backward(g):
             accumulate_grad(gamma, (g * xhat).sum(axis=axes), fresh=True)
@@ -120,9 +122,14 @@ class BatchNorm1d:
                 dx *= inv
                 accumulate_grad(x, dx, fresh=True)
 
-        out = xhat * gamma_b
-        out += beta.data.reshape(bshape)
-        return make_op(out, (x, gamma, beta), "batch_norm", backward)
+        return make_op(scale_shift(xhat, gamma_b, beta_b), (x, gamma, beta), "batch_norm", backward)
+
+    def eval_affine(self, ndim: int) -> tuple[np.ndarray, ...]:
+        """Running mean, 1 / sqrt(running_var + eps), gamma and beta, shaped to
+        broadcast against an `ndim`-axis input whose channels lie on axis 1."""
+        bshape = tuple(self.channels if a == 1 else 1 for a in range(ndim))
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        return tuple(v.reshape(bshape) for v in (self.running_mean, inv, self.gamma.data, self.beta.data))
 
     def named_parameters(self, prefix: str = ""):
         return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]

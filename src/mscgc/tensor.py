@@ -10,8 +10,7 @@ zeroing is the caller's job. No op mutates its inputs.
 Inside a ``no_grad()`` scope no op joins the tape: its output keeps no
 parents and no backward closure, whatever its inputs require, so a forward
 that is never differentiated frees each intermediate as soon as the next op
-has read it. Ops that would otherwise keep extra arrays for their backward
-may then compute in their output buffer alone.
+has read it.
 
 Each ``.grad`` owns its buffer: it shares memory with no other ``.grad`` and
 with no ``.data``. A backward closure that has just built a gradient array
@@ -262,12 +261,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op(data, (a, b), "mul", backward)
 
 
+def elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """expm1(min(x, 0)) + max(x, 0), which is elu(x) exactly, written into
+    `out` (which must not overlap x)."""
+    np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
+
+
 def elu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    # expm1(min(x,0)) + max(x,0) equals elu(x) exactly on both branches
-    data = np.minimum(x.data, 0.0, out=np.empty_like(x.data))
-    np.expm1(data, out=data)
-    data += np.maximum(x.data, 0.0)
+    data = elu_into(x.data, np.empty_like(x.data))
 
     def backward(g):
         # the slope is exp(x) = elu(x) + 1 below zero and 1 above, i.e. min(out, 0) + 1
@@ -449,7 +454,7 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     # Tap-major im2col: row (n, t) holds x[n, t + j, :] for j = 0..k-1, so
     # every copied run is one contiguous ch_in row and each contraction is
     # one GEMM. w2[j * ch_in + i, o] = kernels[o, i, j].
-    cols = _taps(x.data, k)
+    cols = taps(x.data, k)
     w2 = kernels.data.transpose(2, 1, 0).reshape(k * ch_in, ch_out)
     out = cols @ w2
     out += bias.data
@@ -466,16 +471,22 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             gp = np.zeros((n, t + k - 1, ch_out))
             gp[:, k - 1:k - 1 + t_out] = g
             wf = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * ch_out, ch_in)
-            accumulate_grad(x, (_taps(gp, k) @ wf).reshape(n, t, ch_in), fresh=True)
+            accumulate_grad(x, (taps(gp, k) @ wf).reshape(n, t, ch_in), fresh=True)
 
     return make_op(out, (x, kernels, bias), "conv1d", backward)
 
 
-def _taps(a: np.ndarray, k: int) -> np.ndarray:
+def taps(a: np.ndarray, k: int) -> np.ndarray:
     """(N, T, ch) -> (N * (T-k+1), k * ch): the k time-consecutive rows of
-    every window, tap after tap, in one contiguous copy."""
+    every window, tap after tap, in one contiguous copy (for N = 1 and k > 1
+    an overlapping view, which numpy multiplies without BLAS)."""
     n, t, ch = a.shape
-    return sliding_window_view(a, k, axis=1).transpose(0, 1, 3, 2).reshape(n * (t - k + 1), k * ch)
+    return taps_view(a, k).reshape(n * (t - k + 1), k * ch)
+
+
+def taps_view(a: np.ndarray, k: int) -> np.ndarray:
+    """The (N, T-k+1, k, ch) window view of (N, T, ch) that `taps` copies."""
+    return sliding_window_view(a, k, axis=1).transpose(0, 1, 3, 2)
 
 
 def _reduce_axes(x: Tensor, axes) -> tuple[tuple[int, ...], tuple[int, ...]]:

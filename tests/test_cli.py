@@ -210,6 +210,18 @@ class TestTrain:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("key", ["model.hidden", "train.seed", "train.lr_head"])
+    @pytest.mark.parametrize("value", ["true", "false", "null", '"abc"', "abc", "[1]", "{}"])
+    def test_non_number_for_numeric_key_exits_2_before_run_dir(self, workspace, tmp_path, key,
+                                                               value, capsys):
+        # a JSON boolean must not pass as 1 or 0, and nothing else may end in a traceback
+        _, _, config_file, data_dir = workspace
+        code = main(["train", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "r"), f"--{key}={value}"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_run_name_collision_exits_2(self, workspace):
         code, _ = run_training(workspace, "dup")
         assert code == 0
@@ -427,6 +439,15 @@ class TestInterpret:
                      "--out", str(tmp_path / "x"), "--samples", "0"])
         assert code == 2
         assert "(C, S, P, M)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_sample_count_exits_2_before_run_dir(self, workspace, trained, tmp_path,
+                                                          capsys):
+        _, _, _, data_dir = workspace
+        code = main(["interpret", "--checkpoint", str(trained), "--data", str(data_dir),
+                     "--out", str(tmp_path / "x"), "--samples", "-1"])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_config_file_rejected(self, workspace, trained, tmp_path):

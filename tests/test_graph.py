@@ -1,11 +1,14 @@
 """Graph block: adjacency normalization, propagation, residual, causality."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
+from mscgc import graph
 from mscgc.errors import ConfigError, DimensionError, ValidationError
 from mscgc.graph import (
     AdjacencyParams,
@@ -16,7 +19,7 @@ from mscgc.graph import (
     residual_postnorm,
 )
 from mscgc.layers import BatchNorm1d, CausalBranch, Dropout
-from mscgc.tensor import Tensor, elu, finite_diff_check, reduce_sum, square
+from mscgc.tensor import Tensor, elu, finite_diff_check, no_grad, reduce_sum, square
 
 
 @pytest.fixture
@@ -34,6 +37,30 @@ def zeroed_block(b, c, s, d, rng, kernels=(3, 5)):
         branch.bn.eps = 0.0
     block.adjacency.A.data[...] = 0.0
     return block
+
+
+def randomized_block(c, d, kernels, dropout_rate, rng):
+    """MCR block with a random graph, and batch-norm affines and running
+    statistics away from their (1, 0) and (0, 1) starts."""
+    block = MCRBlock(c, d, kernels=kernels, dropout_rate=dropout_rate, rng=rng)
+    block.adjacency.A.data[...] = rng.normal(0.0, 1.0, (c, c))
+    for bn in [branch.bn for branch in block.branches] + [block.post_bn]:
+        bn.gamma.data[...] = rng.uniform(0.5, 1.5, bn.channels)
+        bn.beta.data[...] = rng.uniform(-0.5, 0.5, bn.channels)
+        bn.set_buffers(rng.normal(size=bn.channels), rng.uniform(0.5, 2.0, bn.channels))
+    return block
+
+
+def block_oracle(block, f, mode):
+    """`reference.mcr_block` on the block's parameters: (H, branch stats, post stats)."""
+    def state(bn, **extra):
+        return dict(gamma=bn.gamma.data, beta=bn.beta.data, running_mean=bn.running_mean,
+                    running_var=bn.running_var, **extra)
+
+    return reference.mcr_block(
+        f, [state(br.bn, kernels=br.kernels.data, bias=br.bias.data) for br in block.branches],
+        block.adjacency.A.data, state(block.post_bn), block.post_bn.momentum,
+        block.post_bn.eps, mode, block.adjacency.eps_deg)
 
 
 class TestNormalizeAdjacency:
@@ -111,30 +138,71 @@ class TestAgainstReference:
             assume(b * c * s >= 2 and b * s * d >= 2)
         rng = np.random.default_rng(seed)
         # eval-mode dropout is the identity whatever its rate
-        block = MCRBlock(c, d, kernels=kernels, dropout_rate=0.0 if mode == "train" else 0.3,
-                         rng=rng)
-        block.adjacency.A.data[...] = rng.normal(0.0, 1.0, (c, c))
+        block = randomized_block(c, d, kernels, 0.0 if mode == "train" else 0.3, rng)
         norms = [branch.bn for branch in block.branches] + [block.post_bn]
-        for bn in norms:
-            bn.gamma.data[...] = rng.uniform(0.5, 1.5, bn.channels)
-            bn.beta.data[...] = rng.uniform(-0.5, 0.5, bn.channels)
-            bn.set_buffers(rng.normal(size=bn.channels), rng.uniform(0.5, 2.0, bn.channels))
-
-        def state(bn, **extra):
-            return dict(gamma=bn.gamma.data, beta=bn.beta.data, running_mean=bn.running_mean,
-                        running_var=bn.running_var, **extra)
-
         f = rng.normal(size=(b, c, s, d))
-        expected, branch_stats, post_stats = reference.mcr_block(
-            f, [state(br.bn, kernels=br.kernels.data, bias=br.bias.data) for br in block.branches],
-            block.adjacency.A.data, state(block.post_bn), block.post_bn.momentum,
-            block.post_bn.eps, mode, block.adjacency.eps_deg)
+        expected, branch_stats, post_stats = block_oracle(block, f, mode)
         out = block(Tensor(f), mode).data
         assert out.shape == (b, c, s, d)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
         for bn, (mean, var) in zip(norms, branch_stats + [post_stats]):
             np.testing.assert_allclose(bn.running_mean, mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(bn.running_var, var, rtol=1e-12, atol=1e-12)
+
+
+class TestEvalBlocks:
+    """In eval mode under `no_grad` the block runs as plain numpy, a few
+    samples at a time. Batch norm and ELU are the taped ops' own helpers, so
+    a block that is the whole batch gives the taped output bit for bit.
+    Across several blocks the conv products have fewer rows than the taped
+    ones; they round alike where the BLAS sums each row independently of the
+    row count, as OpenBLAS does at the desk width D = 32."""
+
+    @given(kernels=st.sampled_from([(1,), (3, 5), (5, 3), (3, 3), (2, 3, 7)]),
+           c=st.integers(1, 4), d=st.integers(1, 4), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_one_sample_shorter_than_kernels_bitwise_equal_to_taped(self, kernels, c, d, data,
+                                                                   seed):
+        s = data.draw(st.integers(1, max(1, max(kernels) - 1)), label="s")
+        rng = np.random.default_rng(seed)
+        block = randomized_block(c, d, kernels, 0.3, rng)
+        f = rng.normal(size=(1, c, s, d))
+        taped = block(Tensor(f), "eval")
+        assert taped.requires_grad
+        with no_grad():
+            bare = block(Tensor(f), "eval")
+        assert not bare.requires_grad and bare.data.flags.c_contiguous
+        assert bare.data.tobytes() == taped.data.tobytes()
+        expected, _, _ = block_oracle(block, f, "eval")
+        np.testing.assert_allclose(bare.data, expected, rtol=1e-12, atol=1e-12)
+
+    @given(kernels=st.sampled_from([(1,), (3, 5), (2, 3, 7)]), b=st.integers(2, 6),
+           c=st.integers(1, 4), s=st.integers(1, 8), d=st.integers(1, 4),
+           per_block=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_sample_blocks_match_taped_and_loops(self, kernels, b, c, s, d, per_block, seed):
+        rng = np.random.default_rng(seed)
+        block = randomized_block(c, d, kernels, 0.3, rng)
+        f = rng.normal(size=(b, c, s, d))
+        taped = block(Tensor(f), "eval").data
+        budget = per_block * c * s * max(kernels) * d * 8
+        with mock.patch.object(graph, "EVAL_BLOCK_BYTES", budget), no_grad():
+            bare = block(Tensor(f), "eval").data
+        np.testing.assert_allclose(bare, taped, rtol=1e-12, atol=1e-12)
+        expected, _, _ = block_oracle(block, f, "eval")
+        np.testing.assert_allclose(bare, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 4, 5, 16])
+    def test_desk_blocks_bitwise_equal_to_taped(self, per_block):
+        rng = np.random.default_rng(per_block)
+        block = randomized_block(16, 32, (3, 5), 0.1, rng)
+        f = rng.normal(size=(17, 16, 10, 32))
+        taped = block(Tensor(f), "eval").data
+        budget = per_block * 16 * 10 * 5 * 32 * 8
+        with mock.patch.object(graph, "EVAL_BLOCK_BYTES", budget), no_grad():
+            bare = block(Tensor(f), "eval").data
+        assert bare.tobytes() == taped.tobytes()
 
 
 class TestGraphPropagate:

@@ -9,6 +9,7 @@ import pytest
 
 from mscgc.data import SynthSpec, gen_synthetic, split_dataset
 from mscgc.errors import ConfigError, DimensionError, NumericalError
+from mscgc.graph import EVAL_BLOCK_BYTES
 from mscgc.model import ABLATION_VARIANTS, ModelConfig, MscgcKanModel
 from mscgc.tensor import Tensor, no_grad
 from mscgc.training import (
@@ -304,6 +305,9 @@ class TestPredictLabels:
         assert model.mode == "train"
 
 
+DESK = dict(C=16, S=10, D=32, P=24, M=4, hidden=48, out_dim=24)
+
+
 class TestEvalWithoutTape:
     """Eval forwards run under `no_grad`: the same logits as a taped forward,
     and nothing of a tape is kept afterwards."""
@@ -328,6 +332,26 @@ class TestEvalWithoutTape:
         np.testing.assert_array_equal(predict_labels(model, x, batch_size=4),
                                       np.argmax(taped.data, axis=1))
 
+    def test_desk_batch_over_several_sample_blocks_bitwise_equal_to_taped(self):
+        per_block = max(1, EVAL_BLOCK_BYTES // (16 * 10 * 5 * 32 * 8))
+        # several blocks, the last one overlapping its predecessor
+        assert 11 > per_block and 11 % per_block
+        model = MscgcKanModel(ModelConfig(**DESK, seed=3))
+        rng = np.random.default_rng(8)
+        for name, p in model.named_parameters():
+            if "gamma" in name or "beta" in name:
+                p.data[...] = rng.uniform(0.5, 1.5, p.shape)
+        for _, buf in model.named_buffers():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+        x = rng.normal(size=(11, 16, 10, 24))
+        with model.eval_mode():
+            taped = model.forward(x)
+            taped_block = model.last_block_output.data
+            with no_grad():
+                bare = model.forward(x)
+        assert model.last_block_output.data.tobytes() == taped_block.tobytes()
+        assert bare.data.tobytes() == taped.data.tobytes()
+
     def test_last_block_output_keeps_no_tape(self):
         _, _, model = tiny_setup()
         x = np.random.default_rng(6).normal(size=(20, 6, 8, 10))
@@ -335,6 +359,20 @@ class TestEvalWithoutTape:
         h = model.last_block_output
         assert h.shape == (4, 6, 8, model.cfg.D)
         assert h._parents == () and h._backward is None and not h.requires_grad
+
+    def test_eval_pass_peak_under_four_activations(self):
+        # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB; a
+        # full-batch im2col for the k=5 branch alone would be 52 MB
+        model = MscgcKanModel(ModelConfig(**DESK, seed=0))
+        x = np.random.default_rng(7).normal(size=(512, 16, 10, 24))
+        activation = 256 * 16 * 10 * 32 * 8
+        tracemalloc.start()
+        try:
+            evaluate_model(model, x, np.arange(512) % 4, 4, batch_size=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * activation, f"{peak / 2**20:.1f} MB peak in an eval pass"
 
     def test_eval_pass_holds_about_one_batch(self):
         # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB,
