@@ -14,13 +14,14 @@ identical mean field and a purely affine readout decodes almost nothing.
 
 Motif lengths deliberately match the default kernel set {3, 5}. Tensor files
 (".mstf") are magic line + one JSON header line + little-endian row-major
-payload, lossless for float64.
+payload, lossless for float64, and are read through a copy-on-write mapping.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -338,23 +339,29 @@ def _payload_start(fh, expected: int) -> int:
     return offset
 
 
-def _readinto(fh, arr: np.ndarray) -> np.ndarray:
+def _readinto(fh, arr: np.ndarray) -> None:
     """Fill C-contiguous `arr` from the file with no intermediate bytes object. The
     caller has checked the file size, so a short read means the file changed under us."""
     if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
         raise FormatError(f"payload ended early at offset {fh.tell()}")
-    return arr
 
 
 def read_tensor(path):
+    """Check a tensor file's header and payload length, then return the payload as a
+    writable C-order array over a copy-on-write mapping of the file: pages are read on
+    first touch, writes stay private to the process, and dropping the array unmaps it."""
     with open(path, "rb") as fh:
         header = _read_header(fh, MSTF_MAGIC, ("dtype", "shape", "name"))
         if header["dtype"] not in _DTYPES:
             raise FormatError(f"unsupported dtype {header['dtype']!r} in header")
         shape = _shape(header["shape"], "tensor header")
         dtype = np.dtype(_DTYPES[header["dtype"]])
-        _payload_start(fh, math.prod(shape) * dtype.itemsize)
-        return _readinto(fh, np.empty(shape, dtype))
+        count = math.prod(shape)
+        start = _payload_start(fh, count * dtype.itemsize)
+        if count == 0:
+            return np.empty(shape, dtype)
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    return np.frombuffer(mapped, dtype, count, offset=start).reshape(shape)
 
 
 # -- datasets on disk --------------------------------------------------------

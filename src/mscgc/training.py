@@ -45,8 +45,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "eval_batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+            if not is_int(getattr(self, name), 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         # written as `not (ok)` so that NaN is rejected too
         for name in ("lr_backbone", "lr_head", "lr_min", "clip_norm", "adam_eps"):
             if not getattr(self, name) > 0:

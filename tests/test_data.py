@@ -1,11 +1,15 @@
 """Synthetic generation, split protocols, tensor files, checkpoints."""
 
+import gc
+import hashlib
 import json
 import math
+import mmap
 import os
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +113,37 @@ class TestGenerator:
         assert ds.meta["shapes"]["samples"] == [120, 6, 8, 10]
         assert len(ds.meta["onsets"]) == 120
         assert ds.meta["community_map"] == [0, 0, 0, 1, 1, 1]
+
+    # sha256 of the samples bytes, the labels bytes and the sorted-key JSON of
+    # meta at full default size: an edit to the generator that changes any
+    # drawn value, its order or the arithmetic fails here.
+    @pytest.mark.parametrize("overrides,digests", [
+        (dict(),
+         ("933020455f5accfecb8d118238f45b40c24ceafc45594ff582d82499f0f72205",
+          "ec75109f1264051a36c7272288bfacad6f45d2a7d89a2b49355cffa054e255cc",
+          "2f8d065bbd69098c7368020123f6f26286d11f4d043f81187296007c263debfc")),
+        (dict(noise_scale=0.0),
+         ("e610d04e48806aa5427d26106a2cc2f6266e474f368ecb57e998460ad67d04f2",
+          "72ab91a90038683fc763f26c1ad49d814a8c189a45cb76159de38af6135e160f",
+          "6df46233e634a5b762abd05ef53cc3fcf059305dc753816f6bffbfaaa26c24d2")),
+        (dict(community_scale=0.0),
+         ("4f126f05ebeb28301943e6d2ad5eef03475f0da35ef85719b5ab871f29bb8e7d",
+          "45c884c6b7a6e31066f8fc94631593949b663b9e492372ff37af8e9cf3e7ba7e",
+          "1896e1f4c9e6395c9c52a3a2d2136480bca9385be3334caa021fcc208d21c0ce")),
+        (dict(sign_flips=False, nonlinearity=False),
+         ("4b26caa294c2900efb4c402e6abc87c0de0d6216d5ead22bee1eff0455dc540e",
+          "f2fb02018fb41d18ee2ee94f884285628b681b331724c09daa50b62653db8601",
+          "d6d8790b38f1ab9da6f9579c255343ee8a02e3a6dac19362e3ce6b03628598bf")),
+        (dict(communities=3),
+         ("3d575c133222dd45aa0427d8cb6e00fb76ab2d50af625556ab3c74a1e6e99293",
+          "fe6751101204b4ea9c19c103c1c75d180d0e63865ec60055685fc35b3cc57024",
+          "9a2fd3f67b6d3b317ae6cbd094f1ddcae22a70fe44db3d62dba929f350bf1c0c")),
+    ])
+    def test_output_is_pinned(self, overrides, digests):
+        ds = gen_synthetic(SynthSpec(**overrides))
+        got = (ds.samples.tobytes(), ds.labels.tobytes(),
+               json.dumps(ds.meta, sort_keys=True).encode())
+        assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests
 
 
 class TestSplits:
@@ -228,6 +263,73 @@ class TestTensorFiles:
         assert back.samples.tobytes() == ds.samples.tobytes()
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.meta == ds.meta
+
+
+class TestMappedReader:
+    """`read_tensor` returns a writable view of a private copy-on-write mapping."""
+
+    @pytest.mark.parametrize("dtype", ["f8", "f4", "i8"])
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (5,), (2, 3, 4)])
+    def test_files_of_the_old_writer_load_bitwise(self, tmp_path, dtype, shape):
+        arr = np.asarray(np.random.default_rng(1).normal(size=shape) * 1e3).astype(_DTYPES[dtype])
+        _old_write_tensor(tmp_path / "t.mstf", arr, dtype=dtype)
+        back = read_tensor(tmp_path / "t.mstf")
+        assert type(back) is np.ndarray and back.dtype == arr.dtype and back.shape == shape
+        assert back.tobytes() == arr.tobytes()
+        assert back.flags.c_contiguous and back.flags.writeable
+
+    def test_load_allocates_nothing(self, tmp_path):
+        path = tmp_path / "big.mstf"
+        write_tensor(path, np.ones((1024, 8192)))
+        tracemalloc.start()
+        try:
+            arr = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.nbytes >= 64 * 2**20
+        assert peak < 1e6
+        assert arr[0, 0] == arr[-1, -1] == 1.0
+
+    def test_writes_stay_private(self, tmp_path):
+        path = tmp_path / "t.mstf"
+        write_tensor(path, np.arange(12.0).reshape(3, 4))
+        before = path.read_bytes()
+        arr = read_tensor(path)
+        arr[1] = -1.0
+        arr += 0.5
+        assert arr[1, 0] == -0.5
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(read_tensor(path), np.arange(12.0).reshape(3, 4))
+
+    def test_rewritten_file_leaves_loaded_values_intact(self, tmp_path):
+        path = tmp_path / "t.mstf"
+        values = np.random.default_rng(2).normal(size=(64, 512))
+        write_tensor(path, values)
+        arr = read_tensor(path)
+        write_tensor(path, np.zeros(3))
+        assert arr.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(read_tensor(path), np.zeros(3))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self")
+    def test_dropping_the_arrays_releases_mapping_and_descriptor(self, tmp_path):
+        save_dataset(tmp_path / "data", gen_synthetic(small_spec()))
+        samples_path = str(tmp_path / "data" / "samples.mstf")
+
+        def held():
+            return (len(os.listdir("/proc/self/fd")),
+                    samples_path in Path("/proc/self/maps").read_text())
+
+        fds, _ = held()
+        ds = load_dataset(tmp_path / "data")
+        view = ds.samples[2:5]
+        # labels are converted to a new int64 array, so only samples stay mapped
+        assert held() == (fds + 1, True)
+        del ds
+        assert held() == (fds + 1, True)
+        del view
+        gc.collect()
+        assert held() == (fds, False)
 
 
 class TestDatasetMeta:
@@ -468,11 +570,23 @@ class TestCorruptFiles:
                  lambda: read_checkpoint_header(root / "m.ckpt"),
                  lambda: load_checkpoint(root / "m.ckpt", MscgcKanModel(ModelConfig(**cfg))),
                  lambda: build_model_from_checkpoint(root / "m.ckpt"))
-        for call in calls:
-            try:
-                call()
-            except MscgcError:
-                pass
+        mapped = []
+        real_mmap = mmap.mmap
+
+        def spy(*args, **kwargs):
+            mapped.append(args)
+            return real_mmap(*args, **kwargs)
+
+        with mock.patch.object(mmap, "mmap", spy):
+            for call in calls:
+                maps_before = len(mapped)
+                try:
+                    call()
+                except FormatError:
+                    # a file that fails a check is never mapped
+                    assert len(mapped) == maps_before
+                except MscgcError:
+                    pass
 
 
 # The writers as they stood before `_write_file` took over, kept verbatim
