@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dio
+from .checks import check, check_items
 from .config import RunConfig, parse_override_args
 from .errors import CompatibilityError, ConfigError, MscgcError, NumericalError, VerificationError
 from .gradcheck import TOLERANCE, run_gradcheck
@@ -177,8 +178,7 @@ def cmd_ablate(args, overrides) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
-    if min(seeds) < 0:
-        raise ConfigError(f"--seeds must be at least 0, got {args.seeds!r}")
+    check_items("--seeds", seeds, int, "[0, inf)")
     # check both configs before anything is written
     cfg.model_config()
     cfg.train_config()
@@ -211,8 +211,7 @@ def cmd_ablate(args, overrides) -> int:
 
 
 def cmd_interpret(args) -> int:
-    if args.samples < 0:
-        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
+    check("--samples", args.samples, int, "[0, inf)")
     model, header = dio.build_model_from_checkpoint(args.checkpoint)
     dataset = dio.load_dataset(args.data)
     check_dataset_geometry(model, dataset)
@@ -230,8 +229,7 @@ def cmd_interpret(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    check("--seed", args.seed, int, "[0, inf)")
     if args.corrupt:
         set_gradient_corruption(args.corrupt, 1.01)
     try:

@@ -14,6 +14,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+from .checks import FINITE, check, whole
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import TrainConfig
@@ -47,24 +48,13 @@ def _coerce(key: str, value):
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse value for {key}: {value!r}") from exc
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} expects a boolean, got {value!r}")
-        return value
-    if isinstance(default, (int, float)):
-        # bool is an int subclass: true/false must not pass as 1/0
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} expects a number, got {value!r}")
-        if isinstance(default, float):
-            return float(value)
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key} expects an integer, got {value!r}")
-        return int(value)
-    if isinstance(default, (list, tuple)):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} expects a list, got {value!r}")
-        return list(value)
-    return str(value)
+    kind = type(default)
+    if kind not in (bool, int, float):
+        return value  # lists and names are checked by the code that takes them
+    section = ModelConfig if key.startswith("model.") else TrainConfig
+    interval = section.INTERVALS.get(key.split(".", 1)[1], FINITE)
+    value = check(key, whole(value) if kind is int else value, kind, interval)
+    return float(value) if kind is float else value
 
 
 class RunConfig:

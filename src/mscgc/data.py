@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import FINITE, check_fields, check_items
 from .errors import CompatibilityError, ConfigError, FormatError
 from .tensor import Tensor
 
@@ -42,12 +43,6 @@ SHORT_MOTIF_LEN = 3
 LONG_MOTIF_LEN = 5
 _SHORT_ENVELOPE = np.array([2.0, 0.55, 0.35])
 _LONG_ENVELOPE = np.array([2.0, 0.60, 0.40, 0.28, 0.18])
-
-
-def is_whole_number(value, minimum: int) -> bool:
-    """An integer (an integral float such as 3.0 counts) of at least `minimum`."""
-    return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            and float(value).is_integer() and value >= minimum)
 
 
 # -- synthetic generation --------------------------------------------------
@@ -71,22 +66,16 @@ class SynthSpec:
     nonlinearity: bool = True
     sign_flips: bool = True
 
+    INTERVALS = {**dict.fromkeys(("n_subjects", "trials_per_subject", "sessions_per_subject",
+                                  "C", "P", "M", "communities"), "[1, inf)"),
+                 "S": f"[{LONG_MOTIF_LEN}, inf)", "seed": "[0, inf)",
+                 **dict.fromkeys(("noise_scale", "motif_amp", "community_scale", "latent_scale"),
+                                 FINITE)}
+
     def __post_init__(self):
-        for name in ("n_subjects", "trials_per_subject", "sessions_per_subject",
-                     "C", "S", "P", "M", "communities"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        for name in ("noise_scale", "motif_amp", "community_scale", "latent_scale"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        check_fields(self)
         if self.C < self.communities:
             raise ConfigError(f"need 1 <= communities <= C, got {self.communities} vs C={self.C}")
-        if self.S < LONG_MOTIF_LEN:
-            raise ConfigError(f"S must be >= {LONG_MOTIF_LEN} to hold the long motif, got {self.S}")
         if self.trials_per_subject % self.sessions_per_subject != 0:
             raise ConfigError("trials_per_subject must divide evenly into sessions")
         if self.nonlinearity and self.M % 2 != 0:
@@ -238,10 +227,7 @@ def split_dataset(meta: dict, protocol: str, ratios) -> DatasetSplit:
     trials in every (subject, session) group, assigned in trial order.
     `ratios` must be three integers >= 0; an integral float such as 6.0 counts.
     """
-    if not (isinstance(ratios, (list, tuple)) and len(ratios) == 3
-            and all(is_whole_number(r, 0) for r in ratios)):
-        raise ConfigError(f"ratios must be three integers >= 0, got {ratios!r}")
-    ratios = tuple(int(r) for r in ratios)
+    ratios = check_items("ratios", ratios, int, "[0, inf)", 3)
     subjects = np.asarray(meta["subjects"])
     sessions = np.asarray(meta["sessions"])
     trials = np.asarray(meta["trials"])

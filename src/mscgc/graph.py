@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import check_items
 from .errors import ConfigError, DimensionError, ValidationError
 from .layers import BatchNorm1d, CausalBranch, Dropout, check_mode, normalize, scale_shift
 from .tensor import (Tensor, accumulate_grad, as_tensor, elu, elu_into, grad_enabled, make_op,
@@ -121,14 +122,10 @@ class MCRBlock:
                  dropout_rate: float = 0.1, rng: np.random.Generator | None = None,
                  dropout_rng: np.random.Generator | None = None,
                  bn_momentum: float = 0.1, bn_eps: float = 1e-5, eps_deg: float = 1e-6):
-        if not kernels:
-            raise ConfigError("kernel set must be nonempty")
-        if any(k < 1 for k in kernels):
-            raise ConfigError(f"all kernel sizes must be >= 1, got {list(kernels)}")
         rng = rng if rng is not None else np.random.default_rng()
         self.channels = channels
         self.feat_dim = feat_dim
-        self.kernel_sizes = tuple(int(k) for k in kernels)
+        self.kernel_sizes = check_items("kernels", kernels, int, "[1, inf)")
         self.branches = [
             CausalBranch(feat_dim, k, dropout_rate, rng, dropout_rng=dropout_rng,
                          bn_momentum=bn_momentum, bn_eps=bn_eps)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import check
 from .errors import ConfigError, DimensionError
 from .layers import LinearLayer, layer_norm
 from .tensor import Tensor, as_tensor, concat, cos, silu, sin, square, tanh
@@ -42,8 +43,7 @@ class KanLayer:
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  hidden: int = 512, harmonics: int = 0, ln_eps: float = 1e-5):
-        if hidden < 1:
-            raise ConfigError(f"hidden width must be positive, got {hidden}")
+        hidden = check("hidden", hidden, int, "[1, inf)")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden

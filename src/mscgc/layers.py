@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ValidationError
+from .checks import check
+from .errors import DimensionError, ValidationError
 from .tensor import (
     Tensor,
     accumulate_grad,
@@ -137,10 +138,6 @@ class BatchNorm1d:
     def named_buffers(self, prefix: str = ""):
         return [(prefix + "running_mean", self.running_mean), (prefix + "running_var", self.running_var)]
 
-    def set_buffers(self, running_mean: np.ndarray, running_var: np.ndarray) -> None:
-        self.running_mean = np.asarray(running_mean, dtype=np.float64).copy()
-        self.running_var = np.asarray(running_var, dtype=np.float64).copy()
-
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis: (x - mean) / sqrt(var + eps) * gamma + beta."""
@@ -168,9 +165,7 @@ class Dropout:
     survivors by 1/(1-rate); eval is exactly the identity."""
 
     def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+        self.rate = check("dropout rate", rate, float, "[0, 1)")
         self.rng = rng
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
@@ -192,8 +187,7 @@ class CausalBranch:
     def __init__(self, channels: int, kernel_size: int, dropout_rate: float,
                  rng: np.random.Generator, dropout_rng: np.random.Generator | None = None,
                  bn_momentum: float = 0.1, bn_eps: float = 1e-5):
-        if kernel_size < 1:
-            raise ConfigError(f"kernel size must be >= 1, got {kernel_size}")
+        kernel_size = check("kernel size", kernel_size, int, "[1, inf)")
         self.channels = channels
         self.kernel_size = kernel_size
         bound = 1.0 / np.sqrt(channels * kernel_size)

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import is_whole_number
+from .checks import check_fields, check_items
 from .errors import ConfigError, DimensionError
 from .graph import MCRBlock
 from .kan import ClassifierHead, KanLayer, basis_names
 from .layers import LinearLayer, check_mode
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, grad_enabled
 
 PROVIDER_KINDS = ("stub_projection", "file_features")
 BLOCK_MODES = ("mcr", "identity")
@@ -36,11 +35,6 @@ ABLATION_VARIANTS = {
     "+MCRBlock-GCN": ("mcr", "affine"),
     "MSCGC-KAN (full model)": ("mcr", "kan"),
 }
-
-
-def is_int(value, minimum: int) -> bool:
-    """An int or numpy integer, not a bool, of at least `minimum`."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass
@@ -63,34 +57,20 @@ class ModelConfig:
     bn_eps: float = 1e-5
     seed: int = 0
 
+    INTERVALS = {**dict.fromkeys(("C", "S", "D", "P", "M", "hidden", "out_dim"), "[1, inf)"),
+                 "harmonics": "[0, inf)", "seed": "[0, inf)", "dropout": "[0, 1)",
+                 "bn_momentum": "[0, 1]", "bn_eps": "(0, inf)"}
+
     def __post_init__(self):
-        for name in ("C", "S", "D", "P", "M", "hidden", "out_dim", "harmonics", "seed"):
-            value = getattr(self, name)
-            minimum = 0 if name in ("harmonics", "seed") else 1
-            if not is_int(value, minimum):
-                raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-            setattr(self, name, int(value))  # a numpy integer would not hash
-        for name, within, what in (("bn_eps", lambda v: 0 < v < math.inf, "> 0 and finite"),
-                                   ("bn_momentum", lambda v: 0 <= v <= 1, "in [0, 1]"),
-                                   ("dropout", lambda v: 0 <= v < 1, "in [0, 1)")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not within(value):
-                raise ConfigError(f"{name} must be a number {what}, got {value!r}")
-        if not isinstance(self.provider_trainable, bool):
-            raise ConfigError(f"provider_trainable must be a bool, got {self.provider_trainable!r}")
-        if self.provider not in PROVIDER_KINDS:
-            raise ConfigError(f"provider must be one of {PROVIDER_KINDS}, got {self.provider!r}")
-        if self.block not in BLOCK_MODES:
-            raise ConfigError(f"block must be one of {BLOCK_MODES}, got {self.block!r}")
-        if self.kan not in KAN_MODES:
-            raise ConfigError(f"kan must be one of {KAN_MODES}, got {self.kan!r}")
+        check_fields(self)
+        for name, choices in (("provider", PROVIDER_KINDS), ("block", BLOCK_MODES),
+                              ("kan", KAN_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         if self.provider == "file_features" and self.P != self.D:
             raise ConfigError(f"file_features provider requires P == D, got P={self.P}, D={self.D}")
         basis_names(self.harmonics)  # raises ConfigError unless harmonics is 0, 2 or 3
-        if not (isinstance(self.kernels, (list, tuple)) and self.kernels
-                and all(is_whole_number(k, 1) for k in self.kernels)):
-            raise ConfigError(f"kernels must be a nonempty list of integers >= 1, got {self.kernels!r}")
-        self.kernels = tuple(int(k) for k in self.kernels)
+        self.kernels = check_items("kernels", self.kernels, int, "[1, inf)")
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -174,6 +154,10 @@ class MscgcKanModel:
 
     def forward(self, x) -> Tensor:
         cfg = self.cfg
+        # under no_grad, drop the last output first; freeing a whole tape here
+        # instead lets glibc trim the heap, and the step faults it back in
+        if not grad_enabled():
+            self.last_block_output = None
         x = as_tensor(x)
         feats = self._stage("provider", self.provider.encode, x)
         if self.block is not None:

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_fields, check_items
 from .errors import ConfigError, DimensionError, NumericalError, ValidationError
 from .metrics import MetricsReport, report_from_predictions
-from .model import MscgcKanModel, is_int
+from .model import MscgcKanModel
 from .tensor import no_grad, softmax_cross_entropy
 
 # Decay skips biases, norm scales/shifts, and the adjacency logits (decaying
@@ -43,23 +44,16 @@ class TrainConfig:
     decay_biases: bool = False
     eval_batch_size: int = 256
 
+    # an infinite clip_norm turns clipping off
+    INTERVALS = {**dict.fromkeys(("epochs", "batch_size", "eval_batch_size"), "[1, inf)"),
+                 **dict.fromkeys(("lr_backbone", "lr_head", "lr_min", "adam_eps"), "(0, inf)"),
+                 "weight_decay": "[0, inf)", "clip_norm": "(0, inf]", "seed": "[0, inf)"}
+
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "eval_batch_size"):
-            if not is_int(getattr(self, name), 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        # written as `not (ok)` so that NaN is rejected too
-        for name in ("lr_backbone", "lr_head", "lr_min", "clip_norm", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if not is_int(self.seed, 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_fields(self)
         if self.lr_min > min(self.lr_backbone, self.lr_head):
             raise ConfigError("lr_min must not exceed the base learning rates")
-        self.betas = tuple(float(b) for b in self.betas)
-        if not all(0.0 <= b < 1.0 for b in self.betas):
-            raise ConfigError(f"betas must lie in [0, 1), got {list(self.betas)}")
+        self.betas = tuple(float(b) for b in check_items("betas", self.betas, float, "[0, 1)", 2))
 
 
 def cosine_lr(step: int, total: int, base: float, lr_min: float) -> float:

@@ -88,7 +88,8 @@ class TestGenData:
         assert samples.shape == (36, 32, 10, 10)
 
     @pytest.mark.parametrize("spec", [[], {"C": "x"}, {"n_subjects": -1},
-                                      {"sessions_per_subject": 0}, {"n_subjects": 0}, {"P": 0}])
+                                      {"sessions_per_subject": 0}, {"n_subjects": 0}, {"P": 0},
+                                      {"nonlinearity": "no"}])
     def test_bad_spec_exits_2_and_writes_nothing(self, tmp_path, spec, capsys):
         spec_file = tmp_path / "bad.json"
         spec_file.write_text(json.dumps(spec))
@@ -275,6 +276,17 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert key in err and given in err and stored in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_eval_batch_size_exits_2_before_run_dir(self, workspace, trained, tmp_path,
+                                                       value, capsys):
+        # eval builds no TrainConfig, so the key's own interval must hold
+        _, _, _, data_dir = workspace
+        code = main(["eval", "--data", str(data_dir), "--out", str(tmp_path / "eval"),
+                     "--checkpoint", str(trained), f"--train.eval_batch_size={value}"])
+        assert code == 2
+        assert "train.eval_batch_size" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("damage", ["bit_flip", "missing_key"])

@@ -69,6 +69,23 @@ class TestSynthSpec:
             with pytest.raises(ConfigError, match=field):
                 small_spec(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("nonlinearity", "no"), ("sign_flips", 0), ("noise_scale", float("nan")),
+        ("motif_amp", float("inf")), ("latent_scale", "2.5"), ("seed", True), ("seed", -1)])
+    def test_flags_scales_and_seed_checked(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_spec(**{field: value})
+
+    def test_numpy_integers_round_trip_as_plain_ints(self, tmp_path):
+        fields = dict(n_subjects=3, trials_per_subject=40, C=6, S=8, P=10, M=4, seed=13)
+        plain = gen_synthetic(small_spec(**fields))
+        save_dataset(tmp_path / "plain", plain)
+        save_dataset(tmp_path / "np", gen_synthetic(small_spec(**{k: np.int64(v)
+                                                                   for k, v in fields.items()})))
+        for name in ("samples.mstf", "labels.mstf", "meta.json"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        assert load_dataset(tmp_path / "np").meta == plain.meta
+
 
 class TestGenerator:
     def test_seeded_generation_identical(self):

@@ -47,7 +47,8 @@ def randomized_block(c, d, kernels, dropout_rate, rng):
     for bn in [branch.bn for branch in block.branches] + [block.post_bn]:
         bn.gamma.data[...] = rng.uniform(0.5, 1.5, bn.channels)
         bn.beta.data[...] = rng.uniform(-0.5, 0.5, bn.channels)
-        bn.set_buffers(rng.normal(size=bn.channels), rng.uniform(0.5, 2.0, bn.channels))
+        bn.running_mean = rng.normal(size=bn.channels)
+        bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
     return block
 
 

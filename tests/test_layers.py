@@ -82,7 +82,7 @@ class TestBatchNorm:
     def test_gradcheck_both_modes(self, rng):
         for mode in ("train", "eval"):
             bn = BatchNorm1d(3)
-            bn.set_buffers(rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
+            bn.running_mean, bn.running_var = rng.normal(size=3), rng.uniform(0.5, 2.0, 3)
             x = Tensor(rng.uniform(-2, 2, (4, 3, 5)), requires_grad=True)
             err = finite_diff_check(
                 lambda *ps, m=mode: reduce_sum(square(bn(x, m))), [x, bn.gamma, bn.beta])
@@ -147,7 +147,8 @@ class TestCausalBranch:
 
     def test_causality_eval_mode(self, rng):
         branch = CausalBranch(4, 5, 0.0, rng)
-        branch.bn.set_buffers(rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
+        branch.bn.running_mean = rng.normal(size=4)
+        branch.bn.running_var = rng.uniform(0.5, 2.0, 4)
         for t in (0, 3, 7):
             a = rng.normal(size=(2, 9, 4))
             b = a.copy()

@@ -360,9 +360,11 @@ class TestEvalWithoutTape:
         assert h.shape == (4, 6, 8, model.cfg.D)
         assert h._parents == () and h._backward is None and not h.requires_grad
 
-    def test_eval_pass_peak_under_four_activations(self):
+    def test_eval_pass_peak_under_two_and_a_half_activations(self):
         # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB; a
-        # full-batch im2col for the k=5 branch alone would be 52 MB
+        # full-batch im2col for the k=5 branch alone would be 52 MB, and
+        # keeping the previous batch's block output until the next forward
+        # has replaced it peaks at three activations
         model = MscgcKanModel(ModelConfig(**DESK, seed=0))
         x = np.random.default_rng(7).normal(size=(512, 16, 10, 24))
         activation = 256 * 16 * 10 * 32 * 8
@@ -372,7 +374,7 @@ class TestEvalWithoutTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * activation, f"{peak / 2**20:.1f} MB peak in an eval pass"
+        assert peak <= 2.5 * activation, f"{peak / 2**20:.1f} MB peak in an eval pass"
 
     def test_eval_pass_holds_about_one_batch(self):
         # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB,
@@ -412,6 +414,8 @@ class TestTrainConfig:
         ("weight_decay", -1e-3), ("adam_eps", 0.0), ("adam_eps", -1e-8),
         ("seed", -1), ("seed", 1.5), ("seed", 2.0), ("seed", True), ("seed", "3"),
         ("epochs", 2.5), ("epochs", "3"), ("batch_size", True), ("eval_batch_size", 16.0),
+        ("clip_norm", "1"), ("weight_decay", None), ("lr_head", float("inf")),
+        ("decay_biases", "no"), ("betas", (0.9,)), ("betas", 0.9), ("betas", ("a", "b")),
     ])
     def test_values_that_break_training_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):

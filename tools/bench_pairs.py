@@ -5,9 +5,13 @@ Run from anywhere inside the repository:
     python3 tools/bench_pairs.py --parent HEAD --workloads checkpoint_eval \\
         --seeds 901-910 --out BENCH_9.json
 
-The parent commit is extracted with ``git archive`` into a temporary
-directory, which is removed afterwards; the change side is this checkout as
-it stands on disk, uncommitted edits included. For every workload and seed
+Both sides run from copies in a temporary directory, which is removed
+afterwards: the parent commit is extracted with ``git archive``, and the
+change side is a copy of the files ``git ls-files --cached --others
+--exclude-standard`` lists in this checkout, as they stand on disk
+(uncommitted edits and new untracked files included, ignored files such as
+caches left out). So the two sides differ only in their files, not in where
+they run from. For every workload and seed
 the command that BENCHMARK.json declares runs once on each side, for the run
 length it declares, the parent first on even-numbered pairs and the change
 first on odd ones. Both sides must hold identical benchmark files
@@ -77,6 +81,16 @@ def extract(root: Path, rev: str, dest: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     archive.unlink()
+
+
+def copy_checkout(root: Path, dest: Path) -> None:
+    """Copy the files git would see in this checkout, as they stand on disk,
+    into `dest`; listed files that were deleted on disk are skipped."""
+    for rel in git(root, "ls-files", "--cached", "--others", "--exclude-standard", "-z").split("\0"):
+        path = root / rel
+        if rel and path.is_file():
+            (dest / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(path, dest / rel)
 
 
 def bench_files(root: Path, declared: dict) -> dict[str, bytes]:
@@ -201,13 +215,13 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        parent_root = tmp / "parent"
-        extract(root, args.parent, parent_root)
-        if bench_files(parent_root, declared) != bench_files(root, declared):
+        sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        extract(root, args.parent, sides["parent"])
+        copy_checkout(root, sides["change"])
+        if bench_files(sides["parent"], declared) != bench_files(sides["change"], declared):
             print("bench_pairs: the benchmark files differ between the parent and this "
                   "checkout", file=sys.stderr)
             return 2
-        sides = {"parent": parent_root, "change": root}
         series = {
             "command": declared["command"] + ["--workload", "W", "--seed", "N", "--seconds",
                                               str(seconds), "--trace", str(args.trace)],
@@ -216,10 +230,10 @@ def main(argv=None) -> int:
             "host": {"platform": platform.platform(), "python": platform.python_version(),
                      "nproc": len(os.sched_getaffinity(0))},
             "parent": {"rev": args.parent, "git_sha": git(root, "rev-parse", args.parent),
-                       "src_lines": src_lines(parent_root)},
+                       "src_lines": src_lines(sides["parent"])},
             "change": {"git_sha": git(root, "rev-parse", "HEAD"),
                        "uncommitted_edits": bool(git(root, "status", "--porcelain")),
-                       "src_lines": src_lines(root)},
+                       "src_lines": src_lines(sides["change"])},
             "order": "pair i runs the parent first when i is even, the change first when odd",
             "runs": [], "workloads": {},
         }
