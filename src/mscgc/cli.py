@@ -125,8 +125,8 @@ def cmd_eval(args, overrides) -> int:
     cfg.echo(run_dir / "effective.json",
              extra={"command": "eval", "checkpoint": str(args.checkpoint),
                     "checkpoint_epoch": header["epoch"], "data_dir": str(args.data)})
-    report = evaluate_model(model, dataset.samples[split.test], dataset.labels[split.test],
-                            model.cfg.M, cfg["train.eval_batch_size"])
+    report = evaluate_model(model, dataset.samples, dataset.labels[split.test],
+                            model.cfg.M, cfg["train.eval_batch_size"], split.test)
     write_metrics(report, run_dir / "metrics.json", run_dir / "metrics.csv")
     print(f"test ba={report.balanced_accuracy:.4f} kappa={report.kappa:.4f} "
           f"wf1={report.weighted_f1:.4f}; outputs in {run_dir}")

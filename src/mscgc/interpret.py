@@ -54,15 +54,23 @@ def export_adjacency(model: MscgcKanModel):
 
 
 def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> SaliencyMap:
-    """Gradient-weighted temporal saliency of one sample for one class."""
+    """Gradient-weighted temporal saliency of one sample for one class.
+
+    The backward stops at the head's weights (`model.frozen_head`): only the
+    block output's gradient is read, so no mapping or classifier weight
+    gradient is built.
+    """
     x = as_tensor(sample)
     if x.ndim == 3:
         x = x.reshape((1,) + x.shape)
     if x.shape[0] != 1:
         raise ValidationError(f"gradcam expects a single sample, got batch {x.shape[0]}")
-    if not 0 <= target_class < model.cfg.M:
-        raise ValidationError(f"target class {target_class} outside [0, {model.cfg.M})")
-    with model.eval_mode():
+    if (isinstance(target_class, bool) or not isinstance(target_class, (int, np.integer))
+            or not 0 <= target_class < model.cfg.M):
+        raise ValidationError(f"target class {target_class!r} is not an integer in [0, {model.cfg.M})")
+    if not np.isfinite(x.data).all():
+        raise ValidationError("gradcam expects a finite sample")
+    with model.eval_mode(), model.frozen_head():
         model.zero_grads()
         logits = model.forward(x)
         h = model.last_block_output

@@ -152,6 +152,22 @@ class MscgcKanModel:
         finally:
             self.mode = prior
 
+    @contextmanager
+    def frozen_head(self):
+        """Run the body with `requires_grad` off for every mapping and
+        classifier parameter, so a backward still reaches the block output
+        but builds no gradient for the head's weights. Each parameter gets
+        its prior value back on exit, also on error."""
+        head = [p for _, p in self.kan.named_parameters() + self.clf.named_parameters()]
+        prior = [p.requires_grad for p in head]
+        for p in head:
+            p.requires_grad = False
+        try:
+            yield self
+        finally:
+            for p, flag in zip(head, prior):
+                p.requires_grad = flag
+
     def forward(self, x) -> Tensor:
         cfg = self.cfg
         # under no_grad, drop the last output first; freeing a whole tape here

@@ -208,11 +208,13 @@ class DatasetBundle:
         self.access_log: list[str] = []
 
     def take(self, name: str):
+        """The split's row indices into `samples` and its labels; the rows
+        themselves are gathered a batch at a time, so no split is copied."""
         if name not in ("train", "val", "test"):
             raise ValidationError(f"unknown split {name!r}")
         self.access_log.append(name)
-        idx = getattr(self.split, name)
-        return self.samples[idx], self.labels[idx]
+        idx = np.asarray(getattr(self.split, name))
+        return idx, self.labels[idx]
 
 
 @dataclass
@@ -225,20 +227,26 @@ class TrainResult:
     final_train_ba: float = float("nan")
 
 
-def predict_labels(model: MscgcKanModel, samples: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict_labels(model: MscgcKanModel, samples: np.ndarray, batch_size: int = 256,
+                   index=None) -> np.ndarray:
     """Eval-mode argmax predictions, batched and without a tape; restores the
-    model's prior mode."""
+    model's prior mode. With `index`, the rows `samples[index]` are predicted
+    in that order, gathered one batch at a time."""
+    rows = len(samples) if index is None else len(index)
     preds = []
     with model.eval_mode(), no_grad():
-        for start in range(0, len(samples), batch_size):
-            logits = model.forward(samples[start:start + batch_size])
+        for start in range(0, rows, batch_size):
+            batch = slice(start, start + batch_size)
+            logits = model.forward(samples[batch] if index is None else samples[index[batch]])
             preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
 def evaluate_model(model: MscgcKanModel, samples: np.ndarray, labels: np.ndarray,
-                   num_classes: int, batch_size: int = 256) -> MetricsReport:
-    preds = predict_labels(model, samples, batch_size)
+                   num_classes: int, batch_size: int = 256, index=None) -> MetricsReport:
+    """Metrics of `predict_labels`; with `index`, `labels` are those of the
+    rows `samples[index]`."""
+    preds = predict_labels(model, samples, batch_size, index)
     return report_from_predictions(labels, preds, num_classes)
 
 
@@ -248,13 +256,13 @@ def train_loop(model: MscgcKanModel, bundle: DatasetBundle, cfg: TrainConfig,
     validation-kappa checkpoint."""
     from .data import load_checkpoint, save_checkpoint
 
-    train_x, train_y = bundle.take("train")
-    val_x, val_y = bundle.take("val")
-    if len(train_x) == 0 or len(val_x) == 0:
+    train_idx, train_y = bundle.take("train")
+    val_idx, val_y = bundle.take("val")
+    if len(train_idx) == 0 or len(val_idx) == 0:
         raise ConfigError("train and validation splits must be nonempty")
 
     optimizer = AdamW(model.parameter_groups(), cfg)
-    batches_per_epoch = math.ceil(len(train_x) / cfg.batch_size)
+    batches_per_epoch = math.ceil(len(train_idx) / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
     shuffle_rng = np.random.default_rng([cfg.seed, 2])
 
@@ -266,12 +274,12 @@ def train_loop(model: MscgcKanModel, bundle: DatasetBundle, cfg: TrainConfig,
     try:
         for epoch in range(1, cfg.epochs + 1):
             model.set_mode("train")
-            perm = shuffle_rng.permutation(len(train_x))
+            perm = shuffle_rng.permutation(len(train_idx))
             losses = []
             lrs = {}
             for b in range(batches_per_epoch):
                 idx = perm[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-                logits = model.forward(train_x[idx])
+                logits = model.forward(bundle.samples[train_idx[idx]])
                 loss = softmax_cross_entropy(logits, train_y[idx])
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
@@ -287,8 +295,8 @@ def train_loop(model: MscgcKanModel, bundle: DatasetBundle, cfg: TrainConfig,
                 step += 1
                 losses.append(loss_val)
 
-            val_report = evaluate_model(model, val_x, val_y, bundle.num_classes,
-                                        cfg.eval_batch_size)
+            val_report = evaluate_model(model, bundle.samples, val_y, bundle.num_classes,
+                                        cfg.eval_batch_size, val_idx)
             record = {
                 "epoch": epoch,
                 "train_loss": float(np.mean(losses)),
@@ -312,12 +320,13 @@ def train_loop(model: MscgcKanModel, bundle: DatasetBundle, cfg: TrainConfig,
 
     # train-split accuracy of the final-epoch state, before the best
     # checkpoint is restored; diagnostic for fitting capacity
-    final_train = evaluate_model(model, train_x, train_y, bundle.num_classes,
-                                 cfg.eval_batch_size)
+    final_train = evaluate_model(model, bundle.samples, train_y, bundle.num_classes,
+                                 cfg.eval_batch_size, train_idx)
     load_checkpoint(checkpoint_path, model, optimizer)
-    test_x, test_y = bundle.take("test")
-    if len(test_x) == 0:
+    test_idx, test_y = bundle.take("test")
+    if len(test_idx) == 0:
         raise ConfigError("test split must be nonempty")
-    test_report = evaluate_model(model, test_x, test_y, bundle.num_classes, cfg.eval_batch_size)
+    test_report = evaluate_model(model, bundle.samples, test_y, bundle.num_classes,
+                                 cfg.eval_batch_size, test_idx)
     return TrainResult(best_epoch, best_kappa, records, test_report, str(checkpoint_path),
                        final_train_ba=final_train.balanced_accuracy)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from mscgc.errors import UsageError, ValidationError
+from mscgc.errors import DimensionError, UsageError, ValidationError
 from mscgc.interpret import (
     channel_activation,
     export_adjacency,
@@ -14,6 +14,7 @@ from mscgc.interpret import (
     kan_basis_importance,
 )
 from mscgc.model import ModelConfig, MscgcKanModel
+from mscgc.tensor import Tensor, reduce_sum
 
 
 def build_model(**overrides):
@@ -100,6 +101,117 @@ class TestGradcamTemporal:
         model.set_mode("train")
         gradcam_temporal(model, sample_batch[0][0], 0)
         assert model.mode == "train"
+
+    @pytest.mark.parametrize("target", [True, False, np.bool_(True), 1.5, 1.0, "1", None])
+    def test_non_integer_target_rejected(self, sample_batch, target):
+        # True passed the range test and selected every class at once
+        with pytest.raises(ValidationError, match="target class"):
+            gradcam_temporal(build_model(), sample_batch[0][0], target)
+
+    def test_numpy_integer_target_accepted(self, sample_batch):
+        model = build_model()
+        for target in (np.int64(2), np.uint8(2)):
+            np.testing.assert_array_equal(gradcam_temporal(model, sample_batch[0][0], target).temporal,
+                                          gradcam_temporal(model, sample_batch[0][0], 2).temporal)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, sample_batch, value):
+        sample = sample_batch[0][0].copy()
+        sample[1, 2, 3] = value
+        with pytest.raises(ValidationError, match="finite"):
+            gradcam_temporal(build_model(), sample, 0)
+
+
+def head_parameters(model):
+    return [p for _, p in model.kan.named_parameters() + model.clf.named_parameters()]
+
+
+def full_backward_maps(model, sample, target):
+    """Both maps from a backward through the whole taped model, head weights
+    included, reading the block output's gradient."""
+    with model.eval_mode():
+        model.zero_grads()
+        logits = model.forward(sample[None])
+        h = model.last_block_output
+        mask = np.zeros(logits.shape)
+        mask[0, target] = 1.0
+        reduce_sum(logits * Tensor(mask)).backward()
+    alpha = h.grad[0].mean(axis=1)
+    act = h.data[0]
+
+    def rescale(cam):
+        cam = np.maximum(cam, 0.0)
+        cam = cam - cam.min()
+        return cam / cam.max() if cam.max() > 0 else cam
+
+    return (rescale(np.einsum("cd,csd->s", alpha, act)),
+            rescale(np.einsum("cd,csd->cs", alpha, act)))
+
+
+GEOMETRIES = {
+    "file": dict(C=4, S=6, D=3, P=5, M=3, hidden=8, out_dim=6),
+    "file_affine": dict(C=4, S=6, D=3, P=5, M=3, hidden=8, out_dim=6, kan="affine"),
+    "cli": dict(C=6, S=8, D=8, P=10, M=2, hidden=12, out_dim=8),
+    "desk": dict(C=16, S=10, D=32, P=24, M=4, hidden=48, out_dim=24),
+    "paper_head_identity": dict(C=16, S=10, D=32, P=24, M=4, hidden=512, out_dim=64,
+                                block="identity"),
+    "paper_head_mcr": dict(C=16, S=10, D=32, P=24, M=4, hidden=512, out_dim=64),
+}
+
+
+class TestSaliencyThroughFrozenHead:
+    """Saliency back-propagates through the head without building its
+    weight gradients, and gives the maps of a full backward bit for bit."""
+
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_maps_bitwise_equal_to_full_backward(self, geometry):
+        g = GEOMETRIES[geometry]
+        model = MscgcKanModel(ModelConfig(seed=5, **g))
+        rng = np.random.default_rng(9)
+        for _, buf in model.named_buffers():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)  # running stats away from (0, 1)
+        x = rng.normal(size=(4, g["C"], g["S"], g["P"]))
+        for i, sample in enumerate(x):
+            target = i % g["M"]
+            sal = gradcam_temporal(model, sample, target)
+            temporal, per_channel = full_backward_maps(model, sample, target)
+            assert sal.temporal.tobytes() == temporal.tobytes()
+            assert sal.per_channel.tobytes() == per_channel.tobytes()
+
+    @pytest.mark.parametrize("kan", ["kan", "affine"])
+    def test_head_builds_no_gradient_and_keeps_its_flags(self, sample_batch, kan):
+        model = build_model(kan=kan)
+        gradcam_temporal(model, sample_batch[0][0], 1)
+        head = head_parameters(model)
+        assert all(p.grad is None and p.requires_grad for p in head)
+        # the gradient still reaches the block output
+        assert model.last_block_output.grad is not None
+        assert np.abs(model.last_block_output.grad).sum() > 0
+
+    def test_flags_restored_after_an_error_inside_the_scope(self, sample_batch):
+        model = build_model()
+        wrong_p = sample_batch[0][0][:, :, :4]  # P=4 for a P=5 provider
+        with pytest.raises(DimensionError):
+            gradcam_temporal(model, wrong_p, 0)
+        assert all(p.requires_grad for p in head_parameters(model))
+        with pytest.raises(RuntimeError, match="inside"):
+            with model.frozen_head():
+                assert not any(p.requires_grad for p in head_parameters(model))
+                raise RuntimeError("inside")
+        assert all(p.requires_grad for p in head_parameters(model))
+
+    def test_parameter_frozen_beforehand_stays_frozen(self, sample_batch):
+        model = build_model()
+        model.kan.ln_gamma.requires_grad = False
+        model.clf.linear.bias.requires_grad = False
+        frozen = {id(model.kan.ln_gamma), id(model.clf.linear.bias)}
+        gradcam_temporal(model, sample_batch[0][0], 2)
+        for p in head_parameters(model):
+            assert p.grad is None and p.requires_grad == (id(p) not in frozen)
+        with pytest.raises(DimensionError):
+            gradcam_temporal(model, sample_batch[0][0][:, :, :4], 2)
+        for p in head_parameters(model):
+            assert p.requires_grad == (id(p) not in frozen)
 
 
 class TestKanBasisImportance:

@@ -296,6 +296,58 @@ class TestTrainLoop:
                        tmp_path / "x.ckpt")
 
 
+class TestSplitsReadInPlace:
+    """`train_loop` gathers each batch from the bundle's one sample array by
+    index; no split is copied whole."""
+
+    def test_same_run_as_on_copied_splits(self, tmp_path):
+        # the same training on a bundle whose sample array is the three split
+        # copies laid end to end, with contiguous index ranges for splits
+        ds, bundle, model = tiny_setup(seed=1)
+        split = bundle.split
+        order = np.concatenate([split.train, split.val, split.test])
+        bounds = np.cumsum([0, len(split.train), len(split.val), len(split.test)])
+        copied = type("Split", (), {name: np.arange(lo, hi) for name, lo, hi in
+                                    zip(("train", "val", "test"), bounds[:-1], bounds[1:])})()
+        copied_bundle = DatasetBundle(ds.samples[order], ds.labels[order], copied, 2)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=1, eval_batch_size=8)
+        result = train_loop(model, bundle, cfg, tmp_path / "a.ckpt")
+        _, _, fresh = tiny_setup(seed=1)
+        reference = train_loop(fresh, copied_bundle, cfg, tmp_path / "b.ckpt")
+        assert result.records == reference.records
+        assert result.final_train_ba == reference.final_train_ba
+        assert result.test_report.kappa == reference.test_report.kappa
+        np.testing.assert_array_equal(result.test_report.cm.counts,
+                                      reference.test_report.cm.counts)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert bundle.access_log == copied_bundle.access_log == ["train", "val", "test"]
+
+    def test_peak_below_one_train_split_copy(self, tmp_path):
+        # 2000 train samples of 4 KB each: a copy of the train split is 8 MB,
+        # while a batch-64 step and a batch-256 eval pass of this small head
+        # need a fraction of that
+        rng = np.random.default_rng(0)
+        n, c, s, p = 3000, 4, 4, 32
+        samples = rng.normal(size=(n, c, s, p))
+        labels = np.arange(n) % 2
+        split = type("Split", (), {"train": rng.permutation(2000),
+                                   "val": np.arange(2000, 2500),
+                                   "test": np.arange(2500, 3000)})()
+        bundle = DatasetBundle(samples, labels, split, 2)
+        model = MscgcKanModel(ModelConfig(C=c, S=s, D=4, P=p, M=2, hidden=8, out_dim=4,
+                                          block="identity", seed=0))
+        train_copy = samples[split.train].nbytes
+        tracemalloc.start()
+        try:
+            train_loop(model, bundle, TrainConfig(epochs=1, batch_size=64, seed=0),
+                       tmp_path / "m.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < train_copy, f"{peak / 2**20:.1f} MB peak, a train copy is " \
+                                  f"{train_copy / 2**20:.1f} MB"
+
+
 class TestPredictLabels:
     def test_restores_mode_after_error(self):
         _, _, model = tiny_setup()
@@ -303,6 +355,17 @@ class TestPredictLabels:
         with pytest.raises(DimensionError):
             predict_labels(model, np.zeros((3, 6, 8, 4)))
         assert model.mode == "train"
+
+    def test_index_reads_the_same_rows_as_a_copy(self):
+        ds, _, model = tiny_setup()
+        index = np.random.default_rng(2).permutation(len(ds.samples))[:37]
+        np.testing.assert_array_equal(predict_labels(model, ds.samples, 8, index),
+                                      predict_labels(model, ds.samples[index], 8))
+        by_index = evaluate_model(model, ds.samples, ds.labels[index], 2, 8, index)
+        by_copy = evaluate_model(model, ds.samples[index], ds.labels[index], 2, 8)
+        assert (by_index.kappa, by_index.balanced_accuracy) == (by_copy.kappa,
+                                                                by_copy.balanced_accuracy)
+        assert len(predict_labels(model, ds.samples, 8, index[:0])) == 0
 
 
 DESK = dict(C=16, S=10, D=32, P=24, M=4, hidden=48, out_dim=24)
