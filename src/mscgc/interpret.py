@@ -58,7 +58,8 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
 
     The backward stops at the head's weights (`model.frozen_head`): only the
     block output's gradient is read, so no mapping or classifier weight
-    gradient is built.
+    gradient is built; H is made a leaf where nothing upstream of it requires
+    grad. Every parameter's `.grad` is the caller's again on return or error.
     """
     x = as_tensor(sample)
     if x.ndim == 3:
@@ -70,17 +71,23 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
         raise ValidationError(f"target class {target_class!r} is not an integer in [0, {model.cfg.M})")
     if not np.isfinite(x.data).all():
         raise ValidationError("gradcam expects a finite sample")
-    with model.eval_mode(), model.frozen_head():
-        model.zero_grads()
-        logits = model.forward(x)
-        h = model.last_block_output
-        mask = np.zeros(logits.shape)
-        mask[0, target_class] = 1.0
-        target = reduce_sum(logits * Tensor(mask))
-        target.backward()
-    grad = h.grad if h.grad is not None else np.zeros_like(h.data)
+    held = [(p, p.grad) for _, p in model.named_parameters()]
+    try:
+        with model.eval_mode(), model.frozen_head():
+            model.zero_grads()
+            h = model.features(x)
+            if not h.requires_grad:
+                h = Tensor(h.data, requires_grad=True)
+            logits = model.head(h)
+            mask = np.zeros(logits.shape)
+            mask[0, target_class] = 1.0
+            target = reduce_sum(logits * Tensor(mask))
+            target.backward()
+    finally:
+        for p, grad in held:
+            p.grad = grad
     act = h.data[0]          # (C, S, D)
-    alpha = grad[0].mean(axis=1)                          # (C, D), pooled over windows
+    alpha = h.grad[0].mean(axis=1)                        # (C, D), pooled over windows
     per_channel = _rescale(np.maximum(np.einsum("cd,csd->cs", alpha, act), 0.0))
     temporal = _rescale(np.maximum(np.einsum("cd,csd->s", alpha, act), 0.0))
     return SaliencyMap(temporal, per_channel)
@@ -112,9 +119,8 @@ def kan_basis_importance(model: MscgcKanModel, probe_batch=None, bins: int = 20)
             if x.ndim == 4:
                 # raw samples: run them through provider and block first
                 with model.eval_mode():
-                    model.forward(x)
-                flat = model.last_block_output.reshape(
-                    x.shape[0], model.cfg.C * model.cfg.S * model.cfg.D)
+                    flat = model.features(x).reshape(
+                        x.shape[0], model.cfg.C * model.cfg.S * model.cfg.D)
             else:
                 flat = x
             responses = basis_expand(kan.hidden_activations(flat), kan.harmonics).data
@@ -139,8 +145,7 @@ def channel_activation(model: MscgcKanModel, samples, labels, batch_size: int = 
     with model.eval_mode(), no_grad():
         for start in range(0, len(samples), batch_size):
             batch = samples[start:start + batch_size]
-            model.forward(batch)
-            h = np.abs(model.last_block_output.data)      # (B, C, S, D)
+            h = np.abs(model.features(batch).data)        # (B, C, S, D)
             per_sample = h.mean(axis=(2, 3))
             for cls, row in zip(labels[start:start + batch_size], per_sample):
                 sums[cls] += row

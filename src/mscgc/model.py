@@ -23,7 +23,7 @@ from .errors import ConfigError, DimensionError
 from .graph import MCRBlock
 from .kan import ClassifierHead, KanLayer, basis_names
 from .layers import LinearLayer, check_mode
-from .tensor import Tensor, as_tensor, grad_enabled
+from .tensor import Tensor, as_tensor
 
 PROVIDER_KINDS = ("stub_projection", "file_features")
 BLOCK_MODES = ("mcr", "identity")
@@ -119,10 +119,6 @@ class MscgcKanModel:
         init_rng = np.random.default_rng([cfg.seed, 0])
         self._dropout_rng = np.random.default_rng([cfg.seed, 1])
         self.mode = "train"
-        # Block output of the last forward, read by the interpretability
-        # exports. It keeps that forward's tape alive until the next forward,
-        # so forwards that are never differentiated run under `no_grad`.
-        self.last_block_output: Tensor | None = None
 
         self.provider = FeatureProvider(cfg, init_rng)
         if cfg.block == "mcr":
@@ -168,23 +164,20 @@ class MscgcKanModel:
             for p, flag in zip(head, prior):
                 p.requires_grad = flag
 
-    def forward(self, x) -> Tensor:
+    def features(self, x) -> Tensor:
+        """Provider, then block: the block output H as (B, C, S, D)."""
+        feats = self._stage("provider", self.provider.encode, as_tensor(x))
+        return feats if self.block is None else self._stage("block", self.block, feats, self.mode)
+
+    def head(self, h: Tensor) -> Tensor:
+        """The (C, S, D) flatten of H, then mapping and classifier: the logits."""
         cfg = self.cfg
-        # under no_grad, drop the last output first; freeing a whole tape here
-        # instead lets glibc trim the heap, and the step faults it back in
-        if not grad_enabled():
-            self.last_block_output = None
-        x = as_tensor(x)
-        feats = self._stage("provider", self.provider.encode, x)
-        if self.block is not None:
-            h = self._stage("block", self.block, feats, self.mode)
-        else:
-            h = feats
-        self.last_block_output = h
-        b = h.shape[0]
-        flat = self._stage("flatten", h.reshape, (b, cfg.C * cfg.S * cfg.D))
+        flat = self._stage("flatten", h.reshape, (h.shape[0], cfg.C * cfg.S * cfg.D))
         mapped = self._stage("kan", self.kan, flat)
         return self._stage("classifier", self.clf, mapped)
+
+    def forward(self, x) -> Tensor:
+        return self.head(self.features(x))
 
     __call__ = forward
 

@@ -13,8 +13,10 @@ from mscgc.interpret import (
     gradcam_temporal,
     kan_basis_importance,
 )
+from mscgc.kan import ClassifierHead, KanLayer
 from mscgc.model import ModelConfig, MscgcKanModel
-from mscgc.tensor import Tensor, reduce_sum
+from mscgc.tensor import Tensor, no_grad, reduce_sum
+from mscgc.training import evaluate_model
 
 
 def build_model(**overrides):
@@ -126,13 +128,16 @@ def head_parameters(model):
     return [p for _, p in model.kan.named_parameters() + model.clf.named_parameters()]
 
 
-def full_backward_maps(model, sample, target):
+def full_backward_maps(model, sample, target, leaf=False):
     """Both maps from a backward through the whole taped model, head weights
-    included, reading the block output's gradient."""
+    included, reading the block output's gradient; with `leaf`, H is made a
+    leaf that requires grad by hand."""
     with model.eval_mode():
         model.zero_grads()
-        logits = model.forward(sample[None])
-        h = model.last_block_output
+        h = model.features(sample[None])
+        if leaf:
+            h = Tensor(h.data, requires_grad=True)
+        logits = model.head(h)
         mask = np.zeros(logits.shape)
         mask[0, target] = 1.0
         reduce_sum(logits * Tensor(mask)).backward()
@@ -179,14 +184,17 @@ class TestSaliencyThroughFrozenHead:
             assert sal.per_channel.tobytes() == per_channel.tobytes()
 
     @pytest.mark.parametrize("kan", ["kan", "affine"])
-    def test_head_builds_no_gradient_and_keeps_its_flags(self, sample_batch, kan):
+    def test_head_builds_no_gradient_and_keeps_its_flags(self, sample_batch, kan, monkeypatch):
         model = build_model(kan=kan)
+        received = []
+        head = model.head
+        monkeypatch.setattr(model, "head", lambda h: received.append(h) or head(h))
         gradcam_temporal(model, sample_batch[0][0], 1)
-        head = head_parameters(model)
-        assert all(p.grad is None and p.requires_grad for p in head)
+        assert all(p.grad is None and p.requires_grad for p in head_parameters(model))
         # the gradient still reaches the block output
-        assert model.last_block_output.grad is not None
-        assert np.abs(model.last_block_output.grad).sum() > 0
+        [h] = received
+        assert h.grad is not None
+        assert np.abs(h.grad).sum() > 0
 
     def test_flags_restored_after_an_error_inside_the_scope(self, sample_batch):
         model = build_model()
@@ -212,6 +220,72 @@ class TestSaliencyThroughFrozenHead:
             gradcam_temporal(model, sample_batch[0][0][:, :, :4], 2)
         for p in head_parameters(model):
             assert p.requires_grad == (id(p) not in frozen)
+
+
+PROVIDER_ONLY = {
+    "file_features": dict(provider="file_features"),
+    "frozen_stub": dict(provider_trainable=False),
+}
+
+
+class TestSaliencyState:
+    """Saliency reads H from `features` and leaves the model as it found it."""
+
+    @pytest.mark.parametrize("case", list(PROVIDER_ONLY))
+    def test_provider_only_model_gets_the_maps_of_a_leaf_h(self, case):
+        # no trainable parameter upstream of H, so no tape reaches it
+        model = MscgcKanModel(ModelConfig(C=4, S=6, D=5, P=5, M=3, block="identity",
+                                          **PROVIDER_ONLY[case]))
+        x = np.random.default_rng(4).normal(size=(3, 4, 6, 5))
+        maps = [gradcam_temporal(model, sample, i % 3) for i, sample in enumerate(x)]
+        # a temporal map is all zero where no window's sum is positive
+        assert any(sal.temporal.any() for sal in maps)
+        for i, (sample, sal) in enumerate(zip(x, maps)):
+            temporal, per_channel = full_backward_maps(model, sample, i % 3, leaf=True)
+            assert sal.per_channel.any()
+            assert sal.temporal.tobytes() == temporal.tobytes()
+            assert sal.per_channel.tobytes() == per_channel.tobytes()
+
+    def test_caller_gradients_kept_also_on_error(self, sample_batch):
+        model = build_model()
+        params = [p for _, p in model.named_parameters()]
+        rng = np.random.default_rng(6)
+        for i, p in enumerate(params):
+            p.grad = rng.normal(size=p.shape) if i % 2 else None
+        held = [(p.grad, None if p.grad is None else p.grad.tobytes()) for p in params]
+        sample = sample_batch[0][0]
+        gradcam_temporal(model, sample, 1)
+        with pytest.raises(DimensionError, match="flatten"):
+            # S=7 passes provider and block, and fails at the flatten
+            gradcam_temporal(model, np.concatenate([sample, sample[:, :1]], axis=1), 1)
+        for p, (grad, raw) in zip(params, held):
+            assert p.grad is grad
+            assert grad is None or grad.tobytes() == raw
+
+    def test_exports_of_h_run_no_head(self, sample_batch, monkeypatch):
+        model = build_model()
+        activation, _ = channel_activation(model, *sample_batch)
+        _, hists = kan_basis_importance(model, probe_batch=sample_batch[0])
+
+        def refuse(*_):
+            raise AssertionError("the head ran")
+
+        monkeypatch.setattr(KanLayer, "__call__", refuse)
+        monkeypatch.setattr(ClassifierHead, "__call__", refuse)
+        np.testing.assert_array_equal(channel_activation(model, *sample_batch)[0], activation)
+        _, hists_again = kan_basis_importance(model, probe_batch=sample_batch[0])
+        for name, (counts, edges) in hists.items():
+            np.testing.assert_array_equal(hists_again[name][0], counts)
+            np.testing.assert_array_equal(hists_again[name][1], edges)
+
+    def test_model_holds_no_tensor_between_calls(self, sample_batch):
+        model = build_model()
+        x, y = sample_batch
+        for call in (lambda: model.forward(x),
+                     lambda: evaluate_model(model, x, y, 3, batch_size=5),
+                     lambda: gradcam_temporal(model, x[0], 0)):
+            call()
+            assert not [k for k, v in vars(model).items() if isinstance(v, Tensor)]
 
 
 class TestKanBasisImportance:
@@ -253,8 +327,9 @@ class TestKanBasisImportance:
         importance, hists = kan_basis_importance(model, probe_batch=sample_batch[0])
         assert importance.shape == (6,)
         assert list(hists) == names
-        h = model.kan.hidden_activations(
-            model.last_block_output.reshape(12, 4 * 6 * 3)).data
+        with no_grad():
+            h = model.kan.hidden_activations(
+                model.features(sample_batch[0]).reshape(12, 4 * 6 * 3)).data
         counts, _ = hists["cos2"]
         np.testing.assert_array_equal(counts, np.histogram(np.cos(2 * h), bins=20)[0])
         export_all(model, *sample_batch, tmp_path, max_saliency_samples=1)
@@ -278,8 +353,7 @@ class TestChannelActivation:
         model = build_model()
         x = sample_batch[0][:1]
         activation, _ = channel_activation(model, x, np.array([2]))
-        model.forward(x)
-        expected = np.abs(model.last_block_output.data[0]).mean(axis=(1, 2))
+        expected = np.abs(model.features(x).data[0]).mean(axis=(1, 2))
         np.testing.assert_allclose(activation[2], expected, atol=1e-12)
         np.testing.assert_array_equal(activation[0], np.zeros(4))
 

@@ -149,8 +149,7 @@ class TestModelForward:
         model = MscgcKanModel(tiny_config())
         model.set_mode("eval")
         x = np.random.default_rng(3).normal(size=(2, 3, 4, 4))
-        model.forward(x)
-        h = model.last_block_output
+        h = model.features(x)
         back = h.reshape(2, 3 * 4 * 2).reshape(2, 3, 4, 2)
         np.testing.assert_array_equal(back.data, h.data)
 

@@ -408,18 +408,20 @@ class TestEvalWithoutTape:
             buf[...] = rng.uniform(0.5, 1.5, buf.shape)
         x = rng.normal(size=(11, 16, 10, 24))
         with model.eval_mode():
-            taped = model.forward(x)
-            taped_block = model.last_block_output.data
+            taped_block = model.features(x)
+            taped = model.head(taped_block)
             with no_grad():
+                bare_block = model.features(x)
                 bare = model.forward(x)
-        assert model.last_block_output.data.tobytes() == taped_block.tobytes()
+        assert taped_block.requires_grad and not bare_block.requires_grad
+        assert bare_block.data.tobytes() == taped_block.data.tobytes()
         assert bare.data.tobytes() == taped.data.tobytes()
 
-    def test_last_block_output_keeps_no_tape(self):
+    def test_features_under_no_grad_keep_no_tape(self):
         _, _, model = tiny_setup()
-        x = np.random.default_rng(6).normal(size=(20, 6, 8, 10))
-        evaluate_model(model, x, np.arange(20) % 2, 2, batch_size=8)
-        h = model.last_block_output
+        x = np.random.default_rng(6).normal(size=(4, 6, 8, 10))
+        with model.eval_mode(), no_grad():
+            h = model.features(x)
         assert h.shape == (4, 6, 8, model.cfg.D)
         assert h._parents == () and h._backward is None and not h.requires_grad
 
