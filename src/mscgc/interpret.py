@@ -57,7 +57,7 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
     """Gradient-weighted temporal saliency of one sample for one class.
 
     The backward stops at the head's weights (`model.frozen_head`): only the
-    block output's gradient is read, so no mapping or classifier weight
+    block output's gradient is kept and read, so no mapping or classifier weight
     gradient is built; H is made a leaf where nothing upstream of it requires
     grad. Every parameter's `.grad` is the caller's again on return or error.
     """
@@ -78,6 +78,7 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
             h = model.features(x)
             if not h.requires_grad:
                 h = Tensor(h.data, requires_grad=True)
+            h.retain_grad()
             logits = model.head(h)
             mask = np.zeros(logits.shape)
             mask[0, target_class] = 1.0

@@ -4,18 +4,21 @@ All arithmetic runs in float64; float32 exists only as an opt-in storage
 format for files. The tape is implicit: every tensor produced by an op keeps
 references to its parents plus a monotonically increasing sequence number,
 and ``Tensor.backward`` replays the reachable ops in exact reverse execution
-order. Gradients are always accumulated (added into), never overwritten;
-zeroing is the caller's job. No op mutates its inputs.
+order. Gradients that outlive a backward are always accumulated (added
+into), never overwritten; zeroing is the caller's job. No op mutates its inputs.
 
 Inside a ``no_grad()`` scope no op joins the tape: its output keeps no
 parents and no backward closure, whatever its inputs require, so a forward
 that is never differentiated frees each intermediate as soon as the next op
 has read it.
 
-Each ``.grad`` owns its buffer: it shares memory with no other ``.grad`` and
-with no ``.data``. A backward closure that has just built a gradient array
-which nothing else references hands it over with ``fresh=True`` and it is
-stored as is; any other first gradient, a view in particular, is copied.
+Each gradient has one owner. ``backward`` takes an op output's gradient off
+the node and hands the array itself to the node's rule, so after a backward
+only leaves (parameters, inputs) and nodes marked with ``Tensor.retain_grad``
+hold a ``.grad``; a retained node keeps a copy. A rule passes an array it
+owns, a view of its own ``g`` included, on with ``fresh=True`` and it is
+stored as is; any other first gradient is copied. So a ``.grad`` shares
+memory with no other ``.grad`` and with no ``.data``.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def grad_enabled() -> bool:
 class Tensor:
     """N-dimensional float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_seq", "_retain")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -87,6 +90,7 @@ class Tensor:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
         self._seq = next(_SEQ)
+        self._retain = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -106,8 +110,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def retain_grad(self) -> None:
+        """Keep this op output's `.grad` after `backward`; leaves keep theirs anyway."""
+        self._retain = True
+
     def backward(self) -> None:
-        """Populate gradients of everything this scalar was computed from."""
+        """Populate the gradients of the leaves this scalar was computed from
+        and of the nodes marked with `retain_grad`; every other op output ends
+        with `.grad` None."""
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar, got shape {self.shape}")
         nodes: dict[int, Tensor] = {}
@@ -118,16 +128,30 @@ class Tensor:
                 continue
             nodes[id(node)] = node
             stack.extend(node._parents)
+        order = sorted(nodes.values(), key=lambda n: n._seq, reverse=True)
+        # a retained gradient adds up across backwards, but its rule replays
+        # only what this backward sent it
+        held = [(n, n.grad) for n in order if n._retain]
+        for node, _ in held:
+            node.grad = None
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
-        for node in sorted(nodes.values(), key=lambda n: n._seq, reverse=True):
+        self.grad += 1.0
+        for node in order:
             if node._backward is None or node.grad is None:
                 continue
             grad = node.grad
+            # the rule gets the array itself, so a retained node changes no
+            # layout, and so no bit, upstream
+            node.grad = grad.copy() if node._retain else None
             if _CORRUPTION is not None and node._op == _CORRUPTION[0]:
                 grad = grad * _CORRUPTION[1]
             node._backward(grad)
+        for node, prior in held:
+            if prior is not None:
+                if node.grad is not None:
+                    prior += node.grad
+                node.grad = prior
 
     # -- operator sugar -------------------------------------------------
 
@@ -189,8 +213,9 @@ def make_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
 def accumulate_grad(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
     """Add `grad` into t.grad (allocating on first use); no-op unless t requires grad.
 
-    `fresh=True` promises that `grad` was just built by the caller and that
-    nothing else references it, so a first gradient is stored without a copy.
+    `fresh=True` promises that the caller owns `grad`: no `.grad` and no
+    `.data` references it or the buffer it views, and the caller will not
+    write to it again. A first gradient is then stored without a copy.
     """
     if not t.requires_grad:
         return
@@ -232,7 +257,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b, data = _broadcast("add", np.add, a, b)
 
     def backward(g):
-        accumulate_grad(a, g)
+        accumulate_grad(a, g, fresh=True)
         accumulate_grad(b, g)
 
     return make_op(data, (a, b), "add", backward)
@@ -347,7 +372,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
 
     def backward(g):
-        accumulate_grad(x, g.reshape(x.data.shape))
+        accumulate_grad(x, g.reshape(x.data.shape), fresh=True)
 
     return make_op(data, (x,), "reshape", backward)
 
@@ -362,7 +387,7 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        accumulate_grad(x, g.transpose(inverse))
+        accumulate_grad(x, g.transpose(inverse), fresh=True)
 
     return make_op(x.data.transpose(axes), (x,), "transpose", backward)
 
@@ -380,7 +405,7 @@ def pad_left(x: Tensor, amount: int) -> Tensor:
     data[:, amount:] = x.data
 
     def backward(g):
-        accumulate_grad(x, g[:, amount:])
+        accumulate_grad(x, g[:, amount:], fresh=True)
 
     return make_op(data, (x,), "pad_left", backward)
 
@@ -399,7 +424,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[ax] = slice(lo, hi)
-            accumulate_grad(t, g[tuple(index)])
+            accumulate_grad(t, g[tuple(index)], fresh=True)
 
     return make_op(data, tuple(tensors), "concat", backward)
 

@@ -137,6 +137,7 @@ def full_backward_maps(model, sample, target, leaf=False):
         h = model.features(sample[None])
         if leaf:
             h = Tensor(h.data, requires_grad=True)
+        h.retain_grad()
         logits = model.head(h)
         mask = np.zeros(logits.shape)
         mask[0, target] = 1.0

@@ -1,9 +1,14 @@
 """Tensor core: forward anchors, backward rules, finite-difference checks."""
 
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import reference
+import mscgc
 from mscgc import graph, layers, tensor
 from mscgc.errors import DimensionError, UsageError, ValidationError
 from mscgc.layers import LinearLayer
@@ -116,6 +121,7 @@ class TestGradientLayout:
 
         def recording_call(layer, x):
             out = linear_call(layer, x)
+            out._parents[0].retain_grad()  # x @ W.T, before the bias is added
             calls.append((layer, out))
             return out
 
@@ -129,7 +135,7 @@ class TestGradientLayout:
         for name, p in model.named_parameters():
             assert p.grad is not None and p.grad.flags.c_contiguous, name
         for layer, out in calls:
-            product = out._parents[0]  # x @ W.T, before the bias is added
+            product = out._parents[0]
             g, x_in = product.grad, product._parents[0].data
             expected = np.ascontiguousarray((x_in.T @ g).T)
             assert layer.weight.grad.tobytes() == expected.tobytes()
@@ -153,8 +159,11 @@ class TestGradientLayout:
             model = MscgcKanModel(cfg)
             x = np.random.default_rng(3).normal(size=(8, 4, 3, 6))
             loss = softmax_cross_entropy(model.forward(x), np.arange(8) % 3)
+            nodes = _reachable(loss)
+            for n in nodes:
+                n.retain_grad()  # so every gradient is compared, not just the leaves'
             loss.backward()
-            return model, _reachable(loss)
+            return model, nodes
 
         model, nodes = train_step()
         for name, p in model.named_parameters():
@@ -188,6 +197,77 @@ def _reachable(root: Tensor) -> list:
             seen[id(node)] = node
             stack.extend(node._parents)
     return sorted(seen.values(), key=lambda n: n._seq)
+
+
+class TestGradientOwnership:
+    """At the desk geometry, a backward leaves a gradient only on leaves and
+    retained nodes, and passing views of a gradient on without a copy changes
+    no parameter gradient bit."""
+
+    @staticmethod
+    def desk_loss(batch=8):
+        cfg = ModelConfig(C=16, S=10, D=32, P=24, M=4, hidden=48, out_dim=24, seed=0)
+        model = MscgcKanModel(cfg)
+        x = np.random.default_rng(1).normal(size=(batch, 16, 10, 24))
+        return model, softmax_cross_entropy(model.forward(x), np.arange(batch) % 4)
+
+    def test_op_outputs_hold_no_gradient_unless_retained(self):
+        _, loss = self.desk_loss()
+        ops = [n for n in _reachable(loss) if n._backward is not None]
+        kept = {id(n) for n in ops[::3]}
+        for n in ops[::3]:
+            n.retain_grad()
+        loss.backward()
+        assert [(n._op, n.grad is not None) for n in ops] == [(n._op, id(n) in kept) for n in ops]
+
+    def test_retained_gradient_shares_memory_with_no_other(self):
+        _, loss = self.desk_loss()
+        nodes = _reachable(loss)
+        retained = [n for n in nodes if n._backward is not None][1::2]
+        for n in retained:
+            n.retain_grad()
+        loss.backward()
+        grads = [n.grad for n in nodes if n.grad is not None]
+        for n in retained:
+            assert sum(np.shares_memory(n.grad, g) for g in grads) == 1, n._op
+            assert not any(np.shares_memory(n.grad, m.data) for m in nodes), n._op
+
+    def test_parameter_gradients_equal_copying_every_gradient(self, monkeypatch):
+        model, loss = self.desk_loss()
+        loss.backward()
+        nodes = _reachable(loss)
+        assert all(n.grad is None for n in nodes if n._backward is not None)
+        leaf_grads = [n.grad for n in nodes if n.grad is not None]
+        assert len(leaf_grads) == len(model.named_parameters())
+        for i, g in enumerate(leaf_grads):
+            assert g.flags.c_contiguous
+            assert not any(np.shares_memory(g, other) for other in leaf_grads[i + 1:])
+
+        accumulate = tensor.accumulate_grad
+
+        def always_copy(t, grad, fresh=False):
+            accumulate(t, grad)
+
+        for module in (tensor, layers, graph):
+            monkeypatch.setattr(module, "accumulate_grad", always_copy)
+        copied, loss = self.desk_loss()
+        loss.backward()
+        for (name, p), (_, q) in zip(model.named_parameters(), copied.named_parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+
+    def test_tape_after_backward_holds_little_more_than_after_forward(self):
+        """Op-output gradients are dropped as the backward goes, so a batch-64
+        step's tape grows by about its parameter gradients, not by a second
+        copy of its activations."""
+        tracemalloc.start()
+        try:
+            model, loss = self.desk_loss(batch=64)
+            forward = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after <= 1.15 * forward, (forward, after)
 
 
 class TestNoGrad:
@@ -322,6 +402,50 @@ class TestBackward:
         y = x * x + x * 2.0
         reduce_sum(y).backward()
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_two_backwards_over_one_graph_add_each_gradient_once(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = reduce_sum(square(x) * 3.0)
+        y.backward()
+        y.backward()
+        np.testing.assert_array_equal(x.grad, [12.0, 24.0])
+
+    def test_op_outputs_drop_their_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        s = square(x)
+        y = reduce_sum(s * 3.0)
+        y.backward()
+        assert s.grad is None and y.grad is None
+        np.testing.assert_array_equal(x.grad, [6.0, 12.0])
+
+    def test_both_operands_of_an_add_own_their_gradients(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        reduce_sum((x + y) * Tensor([5.0, 6.0])).backward()
+        assert not np.shares_memory(x.grad, y.grad)
+        np.testing.assert_array_equal(y.grad, [5.0, 6.0])
+
+    def test_retained_gradient_adds_up_and_its_rule_replays_each_pass_once(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        s = square(x)
+        s.retain_grad()
+        y = reduce_sum(s * 3.0)
+        y.backward()
+        np.testing.assert_array_equal(s.grad, [3.0, 3.0])
+        y.backward()
+        np.testing.assert_array_equal(s.grad, [6.0, 6.0])
+        np.testing.assert_array_equal(x.grad, [12.0, 24.0])
+
+    def test_backward_is_called_without_arguments_in_src(self):
+        """perfbench/spans.py wraps Tensor.backward as `backward(root)`, so a
+        call that passes anything makes every traced benchmark run fail."""
+        calls = []
+        for path in sorted(Path(mscgc.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "backward" and (node.args or node.keywords)):
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == [], f"backward called with arguments at {calls}"
 
 
 class TestFiniteDiffCheck:
