@@ -78,7 +78,7 @@ def normalize_adjacency(params: AdjacencyParams) -> Tensor:
         dr = (g * left).sum(axis=0) + (g_left * tilde).sum(axis=1)
         d_row = dr * -0.5 * deg ** -1.5 * (row > params.eps_deg)
         d_tilde = g_left * r.reshape(c, 1) + d_row.reshape(c, 1) * np.sign(tilde)
-        accumulate_grad(a, d_tilde * np.exp(np.minimum(a.data, 0.0)), fresh=True)
+        accumulate_grad(a, d_tilde * np.exp(np.minimum(a.data, 0.0)))
 
     return make_op(out, (a,), "normalize_adjacency", backward)
 

@@ -110,8 +110,8 @@ class BatchNorm1d:
             xhat = normalize(x.data, mean, inv)
 
         def backward(g):
-            accumulate_grad(gamma, (g * xhat).sum(axis=axes), fresh=True)
-            accumulate_grad(beta, g.sum(axis=axes), fresh=True)
+            accumulate_grad(gamma, (g * xhat).sum(axis=axes))
+            accumulate_grad(beta, g.sum(axis=axes))
             if x.requires_grad:
                 dx = g * gamma_b
                 if mode == "train":
@@ -121,7 +121,7 @@ class BatchNorm1d:
                     dx -= m1
                     dx -= xhat * m2
                 dx *= inv
-                accumulate_grad(x, dx, fresh=True)
+                accumulate_grad(x, dx)
 
         return make_op(scale_shift(xhat, gamma_b, beta_b), (x, gamma, beta), "batch_norm", backward)
 
@@ -149,13 +149,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = centered * inv
 
     def backward(g):
-        accumulate_grad(gamma, g * xhat, fresh=True)
-        accumulate_grad(beta, g)
+        accumulate_grad(gamma, g * xhat)
         if x.requires_grad:
             dxhat = g * gamma.data
             m1 = dxhat.mean(axis=-1, keepdims=True)
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            accumulate_grad(x, inv * (dxhat - m1 - xhat * m2), fresh=True)
+            accumulate_grad(x, inv * (dxhat - m1 - xhat * m2))
+        accumulate_grad(beta, g)  # last: beta may keep g itself
 
     return make_op(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm", backward)
 

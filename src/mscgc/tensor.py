@@ -12,13 +12,16 @@ parents and no backward closure, whatever its inputs require, so a forward
 that is never differentiated frees each intermediate as soon as the next op
 has read it.
 
-Each gradient has one owner. ``backward`` takes an op output's gradient off
+Each gradient has one owner. Handing an array to ``accumulate_grad`` hands
+it over: it becomes the receiver's ``.grad``, or is added into the ``.grad``
+the receiver already holds, and the caller neither writes it afterwards nor
+hands it to a second receiver. ``backward`` takes an op output's gradient off
 the node and hands the array itself to the node's rule, so after a backward
 only leaves (parameters, inputs) and nodes marked with ``Tensor.retain_grad``
-hold a ``.grad``; a retained node keeps a copy. A rule passes an array it
-owns, a view of its own ``g`` included, on with ``fresh=True`` and it is
-stored as is; any other first gradient is copied. So a ``.grad`` shares
-memory with no other ``.grad`` and with no ``.data``.
+hold a ``.grad``; a retained node keeps a copy. The view rules pass on views
+of their own ``g``, and ``add``, the one rule with two receivers for one
+array, copies ``g`` for its second operand when both would keep it whole. So
+a ``.grad`` shares memory with no other ``.grad`` and with no ``.data``.
 """
 
 from __future__ import annotations
@@ -120,6 +123,9 @@ class Tensor:
         with `.grad` None."""
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise UsageError("backward requires a root that requires grad; this one was "
+                             "built from constants only or under no_grad")
         nodes: dict[int, Tensor] = {}
         stack = [self]
         while stack:
@@ -165,12 +171,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
@@ -210,25 +210,22 @@ def make_op(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
     return out
 
 
-def accumulate_grad(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
-    """Add `grad` into t.grad (allocating on first use); no-op unless t requires grad.
+def accumulate_grad(t: Tensor, grad: np.ndarray) -> None:
+    """Hand `grad` over to t: it becomes t.grad, or is added into the t.grad
+    already there; a no-op unless t requires grad.
 
-    `fresh=True` promises that the caller owns `grad`: no `.grad` and no
-    `.data` references it or the buffer it views, and the caller will not
-    write to it again. A first gradient is then stored without a copy.
+    The caller gives `grad` up: it must not write the array, or anything it
+    views, afterwards, nor hand it to a second receiver. Every rule's gradient
+    has its output's shape or t's, so summing out the broadcast axes gives
+    t's shape.
     """
     if not t.requires_grad:
         return
     grad = _unbroadcast(grad, t.data.shape)
-    if t.grad is not None:
-        t.grad += grad
-    elif fresh and grad.shape == t.data.shape:
+    if t.grad is None:
         t.grad = np.asarray(grad)  # numpy hands back 0-d results as scalars
     else:
-        # copy: the buffer may be another node's gradient or a view of one
-        t.grad = np.array(grad, dtype=np.float64)
-        if t.grad.shape != t.data.shape:
-            t.grad = np.broadcast_to(t.grad, t.data.shape).copy()
+        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -257,20 +254,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b, data = _broadcast("add", np.add, a, b)
 
     def backward(g):
-        accumulate_grad(a, g, fresh=True)
+        accumulate_grad(a, g)
+        if a.grad is g and b.requires_grad and b.grad is None and b.data.shape == g.shape:
+            g = g.copy()  # a keeps g whole and b would too
         accumulate_grad(b, g)
 
     return make_op(data, (a, b), "add", backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b, data = _broadcast("sub", np.subtract, a, b)
-
-    def backward(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, -g, fresh=True)
-
-    return make_op(data, (a, b), "sub", backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -279,9 +268,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         # a constant operand, e.g. a dropout mask, gets no gradient
         if a.requires_grad:
-            accumulate_grad(a, g * b.data, fresh=True)
+            accumulate_grad(a, g * b.data)
         if b.requires_grad:
-            accumulate_grad(b, g * a.data, fresh=True)
+            accumulate_grad(b, g * a.data)
 
     return make_op(data, (a, b), "mul", backward)
 
@@ -304,7 +293,7 @@ def elu(x: Tensor) -> Tensor:
         slope = np.minimum(data, 0.0)
         slope += 1.0
         slope *= g
-        accumulate_grad(x, slope, fresh=True)
+        accumulate_grad(x, slope)
 
     return make_op(data, (x,), "elu", backward)
 
@@ -316,7 +305,7 @@ def silu(x: Tensor) -> Tensor:
     data = x.data * sig
 
     def backward(g):
-        accumulate_grad(x, g * sig * (1.0 + x.data * (1.0 - sig)), fresh=True)
+        accumulate_grad(x, g * sig * (1.0 + x.data * (1.0 - sig)))
 
     return make_op(data, (x,), "silu", backward)
 
@@ -326,7 +315,7 @@ def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
     def backward(g):
-        accumulate_grad(x, g * (1.0 - data * data), fresh=True)
+        accumulate_grad(x, g * (1.0 - data * data))
 
     return make_op(data, (x,), "tanh", backward)
 
@@ -336,7 +325,7 @@ def sin(x: Tensor) -> Tensor:
     data = np.sin(x.data)
 
     def backward(g):
-        accumulate_grad(x, g * np.cos(x.data), fresh=True)
+        accumulate_grad(x, g * np.cos(x.data))
 
     return make_op(data, (x,), "sin", backward)
 
@@ -346,7 +335,7 @@ def cos(x: Tensor) -> Tensor:
     data = np.cos(x.data)
 
     def backward(g):
-        accumulate_grad(x, g * -np.sin(x.data), fresh=True)
+        accumulate_grad(x, g * -np.sin(x.data))
 
     return make_op(data, (x,), "cos", backward)
 
@@ -355,7 +344,7 @@ def square(x: Tensor) -> Tensor:
     x = as_tensor(x)
 
     def backward(g):
-        accumulate_grad(x, g * 2.0 * x.data, fresh=True)
+        accumulate_grad(x, g * 2.0 * x.data)
 
     return make_op(x.data * x.data, (x,), "square", backward)
 
@@ -372,7 +361,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from exc
 
     def backward(g):
-        accumulate_grad(x, g.reshape(x.data.shape), fresh=True)
+        accumulate_grad(x, g.reshape(x.data.shape))
 
     return make_op(data, (x,), "reshape", backward)
 
@@ -387,7 +376,7 @@ def transpose(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     inverse = np.argsort(axes)
 
     def backward(g):
-        accumulate_grad(x, g.transpose(inverse), fresh=True)
+        accumulate_grad(x, g.transpose(inverse))
 
     return make_op(x.data.transpose(axes), (x,), "transpose", backward)
 
@@ -405,7 +394,7 @@ def pad_left(x: Tensor, amount: int) -> Tensor:
     data[:, amount:] = x.data
 
     def backward(g):
-        accumulate_grad(x, g[:, amount:], fresh=True)
+        accumulate_grad(x, g[:, amount:])
 
     return make_op(data, (x,), "pad_left", backward)
 
@@ -424,7 +413,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * g.ndim
             index[ax] = slice(lo, hi)
-            accumulate_grad(t, g[tuple(index)], fresh=True)
+            accumulate_grad(t, g[tuple(index)])
 
     return make_op(data, tuple(tensors), "concat", backward)
 
@@ -444,16 +433,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         # a constant operand, e.g. the input data, gets no gradient
         if a.requires_grad:
-            accumulate_grad(a, np.matmul(g, b.data.swapaxes(-1, -2)), fresh=True)
+            accumulate_grad(a, np.matmul(g, b.data.swapaxes(-1, -2)))
         if not b.requires_grad:
             return
         if b.ndim == 2 and not b.data.flags.c_contiguous:
             # b is a transposed view, e.g. the W.T of a linear layer: form its
             # gradient as (g^T a)^T, a view whose transpose is row-major, so
             # W.grad is stored C-contiguous by contiguous copies only
-            accumulate_grad(b, np.matmul(g.swapaxes(-1, -2), a.data).swapaxes(-1, -2), fresh=True)
+            accumulate_grad(b, np.matmul(g.swapaxes(-1, -2), a.data).swapaxes(-1, -2))
         else:
-            accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g), fresh=True)
+            accumulate_grad(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
     return make_op(data, (a, b), "matmul", backward)
 
@@ -487,16 +476,16 @@ def conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(n * t_out, ch_out)
-        accumulate_grad(bias, g2.sum(axis=0), fresh=True)
+        accumulate_grad(bias, g2.sum(axis=0))
         dw = (g2.T @ cols).reshape(ch_out, k, ch_in).transpose(0, 2, 1)
-        accumulate_grad(kernels, np.ascontiguousarray(dw), fresh=True)
+        accumulate_grad(kernels, np.ascontiguousarray(dw))
         if x.requires_grad:
             # full correlation of the zero-padded output gradient with the
             # kernels flipped in time: wf[j * ch_out + o, i] = kernels[o, i, k-1-j]
             gp = np.zeros((n, t + k - 1, ch_out))
             gp[:, k - 1:k - 1 + t_out] = g
             wf = kernels.data[:, :, ::-1].transpose(2, 0, 1).reshape(k * ch_out, ch_in)
-            accumulate_grad(x, (taps(gp, k) @ wf).reshape(n, t, ch_in), fresh=True)
+            accumulate_grad(x, (taps(gp, k) @ wf).reshape(n, t, ch_in))
 
     return make_op(out, (x, kernels, bias), "conv1d", backward)
 
@@ -514,9 +503,9 @@ def taps_view(a: np.ndarray, k: int) -> np.ndarray:
     return sliding_window_view(a, k, axis=1).transpose(0, 1, 3, 2)
 
 
-def _reduce_axes(x: Tensor, axes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Sorted nonnegative reduction axes (None means all, [] means none) and
-    the input shape with those axes kept at extent 1."""
+def reduce_sum(x: Tensor, axes=None) -> Tensor:
+    """Sum over the given axes; axes=None means all, [] is identity."""
+    x = as_tensor(x)
     if axes is None:
         axes = list(range(x.ndim))
     axes = [int(a) for a in (axes if isinstance(axes, (list, tuple)) else [axes])]
@@ -529,34 +518,14 @@ def _reduce_axes(x: Tensor, axes) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(set(norm)) != len(norm):
         raise DimensionError(f"reduce: duplicate axes in {axes}")
     ax = tuple(sorted(norm))
-    return ax, tuple(1 if i in ax else s for i, s in enumerate(x.data.shape))
-
-
-def reduce_sum(x: Tensor, axes=None) -> Tensor:
-    """Sum over the given axes; axes=None means all, [] is identity."""
-    x = as_tensor(x)
-    ax, keep_shape = _reduce_axes(x, axes)
     if not ax:
         return x
+    keep_shape = tuple(1 if i in ax else s for i, s in enumerate(x.data.shape))
 
     def backward(g):
-        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape).copy(), fresh=True)
+        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape).copy())
 
     return make_op(x.data.sum(axis=ax), (x,), "reduce_sum", backward)
-
-
-def reduce_mean(x: Tensor, axes=None) -> Tensor:
-    """Mean over the given axes; axes=None means all, [] is identity."""
-    x = as_tensor(x)
-    ax, keep_shape = _reduce_axes(x, axes)
-    if not ax:
-        return x
-    count = int(np.prod([x.data.shape[a] for a in ax]))
-
-    def backward(g):
-        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape) / count, fresh=True)
-
-    return make_op(x.data.sum(axis=ax) / count, (x,), "reduce_mean", backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -581,7 +550,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         grad = np.exp(log_probs)
         grad[np.arange(b), labels] -= 1.0
-        accumulate_grad(logits, float(g) * grad / b, fresh=True)
+        accumulate_grad(logits, float(g) * grad / b)
 
     return make_op(np.asarray(data), (logits,), "softmax_cross_entropy", backward)
 

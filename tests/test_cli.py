@@ -493,7 +493,7 @@ class TestGradcheckCommand:
     def test_clean_build_exits_0(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 25
+        assert out.count("PASS") == 24
         assert "FAIL" not in out
 
     def test_corrupted_backward_exits_1_naming_layer(self, capsys):
@@ -511,5 +511,5 @@ class TestGradcheckCommand:
         main(["gradcheck"])
         out = capsys.readouterr().out
         names = [line.split()[0] for line in out.splitlines() if "max_rel_err" in line]
-        assert len(names) == len(set(names)) == 25
+        assert len(names) == len(set(names)) == 24
         assert "full_model" in names and "conv1d" in names

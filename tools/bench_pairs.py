@@ -24,7 +24,11 @@ median and quartiles (linear interpolation), the parent's interquartile
 range, the number of pairs the change wins (ties count for neither), the
 median gain, the benchmark's regression bound, and whether a gain is
 claimable (wins in at least nine tenths of the pairs, median gain above the
-parent's interquartile range). The file is rewritten after every pair.
+parent's interquartile range). Each metric with a bound gets a verdict:
+``within`` or ``outside`` the bound by the medians, or ``unresolved`` where
+the parent's interquartile range exceeds the bound times its median, unless
+every change run beats every parent run. The summary printed at the end
+shows each verdict. The file is rewritten after every pair.
 Standard library only.
 """
 
@@ -186,6 +190,11 @@ def summarize(runs: list[dict], declared: dict, trace: int) -> dict:
         if "bound" in m:
             row["bound"] = m["bound"]
             row["within_bound"] = -gain <= m["bound"] * abs(pq[1])
+            beats_all = min(sign * c for c in chg) > max(sign * p for p in par)
+            if row["parent_iqr"] > m["bound"] * abs(pq[1]) and not beats_all:
+                row["verdict"] = "unresolved"
+            else:
+                row["verdict"] = "within" if row["within_bound"] else "outside"
         metrics[name] = row
     out["metrics"] = metrics
     return out
@@ -266,7 +275,7 @@ def main(argv=None) -> int:
             print(f"  {name:34s} parent {row['parent']['median']:.6g} change "
                   f"{row['change']['median']:.6g} wins {row['change_wins']}/"
                   f"{summary['complete_pairs']} iqr {row['parent_iqr']:.3g}"
-                  + ("" if row.get("within_bound", True) else "  OUTSIDE BOUND"))
+                  + (f"  {row['verdict']}" if "verdict" in row else ""))
     return 0
 
 
