@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import check_fields, check_items
-from .errors import ConfigError, DimensionError, NumericalError, ValidationError
+from .errors import ConfigError, DimensionError, NumericalError, UsageError, ValidationError
 from .metrics import MetricsReport, report_from_predictions
 from .model import MscgcKanModel
 from .tensor import no_grad, softmax_cross_entropy
@@ -91,7 +92,7 @@ def clip_gradients(params, max_norm: float) -> float:
 
 
 # Elements per block of `adamw_step`: 16 Ki float64 = 128 KB per array, so a
-# block of the parameter, its gradient, both moments and two scratch arrays
+# block of the parameter, its gradient, both moments and the scratch array
 # stays in a per-core L2 cache.
 ADAMW_BLOCK = 1 << 14
 
@@ -106,90 +107,79 @@ def adamw_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
     which avoids materializing the bias-corrected moments. The update runs
     block by block over flat views, ADAMW_BLOCK elements at a time, with the
     same elementwise operations in the same order as a whole-array update,
-    so the result is bitwise the same. Arrays that are not C-contiguous are
-    updated through contiguous copies that are written back.
+    so the result is bitwise the same. The step spends `grad`: once a block
+    of `v` is updated, that block of `grad` holds the update. All four arrays
+    must be C-contiguous and writeable.
     """
     if grad.shape != value.shape or m.shape != value.shape or v.shape != value.shape:
         raise DimensionError(f"adamw_step: grad {grad.shape}, m {m.shape} and v {v.shape} "
                              f"must match the parameter shape {value.shape}")
+    if not all(a.flags.c_contiguous and a.flags.writeable for a in (value, grad, m, v)):
+        raise UsageError("adamw_step: value, grad, m and v must be C-contiguous and writeable")
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in optimizer step")
-    state = (value, m, v)
-    work = [a if a.flags.c_contiguous else np.ascontiguousarray(a) for a in state]
-    x, mf, vf = (a.reshape(-1) for a in work)
-    g = np.ascontiguousarray(grad).reshape(-1)
+    x, g, mf, vf = (a.reshape(-1) for a in (value, grad, m, v))
     bc2_sqrt = math.sqrt(1.0 - beta2 ** step)
     eps_t = eps * bc2_sqrt
     step_size = lr_t * bc2_sqrt / (1.0 - beta1 ** step)
     decay = lr_t * weight_decay
     scratch = np.empty(min(x.size, ADAMW_BLOCK))
-    update = np.empty_like(scratch)
     for lo in range(0, x.size, ADAMW_BLOCK):
         hi = min(lo + ADAMW_BLOCK, x.size)
         gb, mb, vb, xb = g[lo:hi], mf[lo:hi], vf[lo:hi], x[lo:hi]
-        t, u = scratch[:hi - lo], update[:hi - lo]
+        t = scratch[:hi - lo]
         mb *= beta1
         mb += np.multiply(1.0 - beta1, gb, out=t)
         vb *= beta2
         np.multiply(1.0 - beta2, gb, out=t)
         vb += np.multiply(t, gb, out=t)
-        np.sqrt(vb, out=u)
-        u += eps_t
-        np.divide(mb, u, out=u)
-        u *= step_size
+        np.sqrt(vb, out=gb)
+        gb += eps_t
+        np.divide(mb, gb, out=gb)
+        gb *= step_size
         if weight_decay:
-            u += np.multiply(decay, xb, out=t)
-        xb -= u
-    for dst, src in zip(state, work):
-        if src is not dst:
-            dst[...] = src
+            gb += np.multiply(decay, xb, out=t)
+        xb -= gb
+
+
+# One optimized parameter: its group and name, the tensor, both moments and
+# its weight decay.
+Slot = namedtuple("Slot", "group name param m v decay")
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over named parameter groups."""
+    """Decoupled-weight-decay Adam with one slot per parameter, in group order."""
 
     def __init__(self, groups: dict, cfg: TrainConfig):
         self.cfg = cfg
-        self.groups = {}
-        for group_name, named in groups.items():
-            entries = []
-            for name, p in named:
-                decay = cfg.weight_decay
-                if not cfg.decay_biases and name.endswith(NO_DECAY_SUFFIXES):
-                    decay = 0.0
-                entries.append({
-                    "name": name,
-                    "param": p,
-                    "m": np.zeros_like(p.data),
-                    "v": np.zeros_like(p.data),
-                    "decay": decay,
-                })
-            self.groups[group_name] = {"entries": entries}
+        self.slots = [
+            Slot(group, name, p, np.zeros_like(p.data), np.zeros_like(p.data),
+                 0.0 if not cfg.decay_biases and name.endswith(NO_DECAY_SUFFIXES)
+                 else cfg.weight_decay)
+            for group, named in groups.items() for name, p in named]
         self.step_count = 0
 
     def all_params(self):
-        return [e["param"] for g in self.groups.values() for e in g["entries"]]
+        return [s.param for s in self.slots]
 
     def step(self, lrs: dict) -> None:
-        """Apply one update with the given per-group learning rates."""
+        """Apply one update with the given per-group learning rates. Each
+        parameter's gradient is spent by the update, so its `.grad` ends None."""
         self.step_count += 1
         b1, b2 = self.cfg.betas
-        for group_name, group in self.groups.items():
-            lr_t = lrs[group_name]
-            for e in group["entries"]:
-                p = e["param"]
-                grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-                adamw_step(p.data, grad, e["m"], e["v"], self.step_count, lr_t,
-                           e["decay"], beta1=b1, beta2=b2, eps=self.cfg.adam_eps)
+        for s in self.slots:
+            p = s.param
+            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+            adamw_step(p.data, grad, s.m, s.v, self.step_count, lrs[s.group], s.decay,
+                       beta1=b1, beta2=b2, eps=self.cfg.adam_eps)
+            p.grad = None
 
     def named_state(self):
         """(name, array) pairs to checkpoint. The moments are the live arrays,
         which load_checkpoint fills in place; the step count is a copy."""
         named = [("step_count", np.asarray(float(self.step_count)))]
-        for group in self.groups.values():
-            for e in group["entries"]:
-                named.append((f"m.{e['name']}", e["m"]))
-                named.append((f"v.{e['name']}", e["v"]))
+        for s in self.slots:
+            named += [(f"m.{s.name}", s.m), (f"v.{s.name}", s.v)]
         return named
 
 
@@ -231,13 +221,19 @@ def predict_labels(model: MscgcKanModel, samples: np.ndarray, batch_size: int = 
                    index=None) -> np.ndarray:
     """Eval-mode argmax predictions, batched and without a tape; restores the
     model's prior mode. With `index`, the rows `samples[index]` are predicted
-    in that order, gathered one batch at a time."""
+    in that order, gathered one batch at a time. When a batch's logits are not
+    all finite, raises NumericalError naming the first such sample."""
     rows = len(samples) if index is None else len(index)
     preds = []
     with model.eval_mode(), no_grad():
         for start in range(0, rows, batch_size):
             batch = slice(start, start + batch_size)
             logits = model.forward(samples[batch] if index is None else samples[index[batch]])
+            finite = np.isfinite(logits.data).all(axis=1)
+            if not finite.all():
+                row = start + int(np.argmin(finite))
+                raise NumericalError(f"non-finite logits for sample "
+                                     f"{row if index is None else int(index[row])}")
             preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 

@@ -7,7 +7,10 @@ with self-loops, its clamped |row-sum| degrees, the symmetric normalization
 D^-1/2 Ã D^-1/2 (Kipf & Welling, ICLR 2017), graph propagation, the causal
 convolution, batch norm in train and eval mode, the causal branch, the
 residual post-norm and the whole MCR block (dropout at rate 0 or in eval
-mode, where it is the identity).
+mode, where it is the identity). The optimizer half transcribes one AdamW
+step in textbook form and the global-norm gradient clip; the tests hold the
+package to those at a measured tolerance instead, since the package computes
+the step in a rearranged form that rounds differently.
 """
 
 from __future__ import annotations
@@ -192,3 +195,56 @@ def mcr_block(f, branches: list[dict], a, post: dict, momentum: float, eps: floa
                 for d in range(d_n):
                     out[b, c, s, d] = h[b, c, s * d_n + d]
     return out, stats, (post_mean, post_var)
+
+
+def weight_decay_of(name: str, weight_decay: float, decay_biases: bool) -> float:
+    """Decay applies to every parameter except biases, norm scales and shifts,
+    and the adjacency logits, unless `decay_biases` is set."""
+    exempt = (name.endswith(".bias") or name.endswith(".gamma") or name.endswith(".beta")
+              or name.endswith("ln_gamma") or name.endswith("ln_beta")
+              or name.endswith("adjacency.A"))
+    return 0.0 if exempt and not decay_biases else weight_decay
+
+
+def adamw_step(theta, grad, m, v, t: int, lr: float, weight_decay: float,
+               beta1: float, beta2: float, eps: float):
+    """One decoupled-weight-decay Adam step (Loshchilov & Hutter, ICLR 2019)
+    at step t >= 1, per element i:
+        m_i = beta1 m_i + (1 - beta1) g_i
+        v_i = beta2 v_i + (1 - beta2) g_i^2
+        m̂_i = m_i / (1 - beta1^t),  v̂_i = v_i / (1 - beta2^t)
+        theta_i = theta_i - lr (m̂_i / (sqrt(v̂_i) + eps) + weight_decay theta_i)
+    Returns the new (theta, m, v); the inputs are not written.
+    """
+    theta, grad, m, v = (np.asarray(a, dtype=float) for a in (theta, grad, m, v))
+    new_theta, new_m, new_v = np.empty(theta.shape), np.empty(theta.shape), np.empty(theta.shape)
+    for i in np.ndindex(*theta.shape):
+        g = float(grad[i])
+        m_i = beta1 * float(m[i]) + (1.0 - beta1) * g
+        v_i = beta2 * float(v[i]) + (1.0 - beta2) * (g * g)
+        m_hat = m_i / (1.0 - beta1 ** t)
+        v_hat = v_i / (1.0 - beta2 ** t)
+        x = float(theta[i])
+        new_theta[i] = x - lr * (m_hat / (math.sqrt(v_hat) + eps) + weight_decay * x)
+        new_m[i], new_v[i] = m_i, v_i
+    return new_theta, new_m, new_v
+
+
+def clip_gradients(grads, max_norm: float):
+    """Global-norm clip: ||g|| = sqrt(sum over every gradient and element of
+    g_i^2); each g_i becomes g_i * max_norm / ||g|| when ||g|| > max_norm.
+    Returns (||g||, the clipped gradients)."""
+    total = 0.0
+    for g in grads:
+        for value in np.asarray(g, dtype=float).flat:
+            total += float(value) * float(value)
+    norm = math.sqrt(total)
+    scale = max_norm / norm if norm > max_norm else 1.0
+    clipped = []
+    for g in grads:
+        g = np.asarray(g, dtype=float)
+        out = np.empty(g.shape)
+        for i in np.ndindex(*g.shape):
+            out[i] = float(g[i]) * scale
+        clipped.append(out)
+    return norm, clipped

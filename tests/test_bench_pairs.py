@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: each end-to-end metric's verdict against its bound."""
+"""tools/bench_pairs.py: each end-to-end metric's verdict against its bound, and
+the source line counts it prints."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,8 @@ def test_metrics_without_a_bound_get_no_verdict():
     declared = {"per_layer": [{"name": "calls", "unit": "count", "better": "lower"}]}
     summary = bench_pairs.summarize(runs("calls", TIGHT, TIGHT), declared, trace=1)
     assert "verdict" not in summary["metrics"]["calls"]
+
+
+def test_src_lines_summary_reads_both_sides_of_the_series():
+    series = {"parent": {"rev": "HEAD", "src_lines": 3320}, "change": {"src_lines": 3301}}
+    assert bench_pairs.src_lines_summary(series) == "src lines: parent 3320 → change 3301"

@@ -255,6 +255,21 @@ class TestEval:
         trained = json.loads((run_dir / "metrics.json").read_text())
         assert metrics == trained
 
+    def test_non_finite_logits_exit_3_without_metrics(self, workspace, trained, tmp_path,
+                                                       capsys):
+        _, _, _, data_dir = workspace
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        samples = read_tensor(data_dir / "samples.mstf")
+        write_tensor(broken / "samples.mstf", np.full_like(samples, np.nan), name="samples")
+        for name in ("labels.mstf", "meta.json"):
+            (broken / name).write_bytes((data_dir / name).read_bytes())
+        code = main(["eval", "--data", str(broken), "--out", str(tmp_path / "eval"),
+                     "--run-name", "e", "--checkpoint", str(trained)])
+        assert code == 3
+        assert "non-finite logits for sample" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "e" / "metrics.json").exists()
+
 
     def test_effective_config_is_the_checkpoints(self, workspace, trained, tmp_path):
         _, _, _, data_dir = workspace

@@ -488,9 +488,9 @@ class TestCheckpoints:
         fresh_opt = AdamW(fresh.parameter_groups(), cfg)
         load_checkpoint(tmp_path / "m.ckpt", fresh, fresh_opt)
         assert fresh_opt.step_count == opt.step_count
-        for a, b in zip(opt.groups["head"]["entries"], fresh_opt.groups["head"]["entries"]):
-            np.testing.assert_array_equal(a["m"], b["m"])
-            np.testing.assert_array_equal(a["v"], b["v"])
+        for a, b in zip(opt.slots, fresh_opt.slots):
+            np.testing.assert_array_equal(a.m, b.m)
+            np.testing.assert_array_equal(a.v, b.v)
 
     def test_build_from_checkpoint(self, tmp_path):
         model = self._model(seed=5)
@@ -517,7 +517,8 @@ class TestCheckpoints:
     def test_mis_shaped_optimizer_moment_rejected(self, tmp_path):
         model = self._model()
         opt = AdamW(model.parameter_groups(), TrainConfig())
-        opt.groups["head"]["entries"][0]["m"] = np.zeros(1)
+        head = next(i for i, s in enumerate(opt.slots) if s.group == "head")
+        opt.slots[head] = opt.slots[head]._replace(m=np.zeros(1))
         save_checkpoint(tmp_path / "m.ckpt", model, opt)
         fresh = self._model()
         with pytest.raises(CompatibilityError, match="opt.m."):

@@ -6,7 +6,9 @@ mode with dropout 0, on a batch of 8, and the gradient's component along
 each of 20 random unit directions v over all parameters, <grad L, v>, is
 compared with a Richardson-extrapolated central difference of L along v
 (Baydin et al., JMLR 2018). B, C, S and D all exceed 1 and all differ, so a
-slip of order or layout that tiny shapes hide shows here.
+slip of order or layout that tiny shapes hide shows here. A second test
+pins the layout of every parameter gradient, which the optimizer spends in
+place.
 """
 
 import numpy as np
@@ -60,3 +62,25 @@ def test_gradient_matches_directional_difference(geometry):
     analytic, numeric = directional_derivatives(GEOMETRIES[geometry])
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), np.abs(numeric))
     assert rel.max() <= RTOL, (rel.max(), analytic, numeric)
+
+
+LAYOUT_GEOMETRIES = {
+    "desk": GEOMETRIES["desk"],
+    "paper_head_identity": dict(GEOMETRIES["paper_head"], block="identity"),
+    "odd": dict(C=4, S=6, D=5, P=7, M=3, hidden=9, out_dim=6, harmonics=3, kernels=(1, 2, 7)),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(LAYOUT_GEOMETRIES))
+def test_every_parameter_gradient_is_c_contiguous(geometry):
+    """AdamW spends each gradient in place and accepts only C-contiguous,
+    writeable arrays, so a real backward must leave every gradient so."""
+    cfg = LAYOUT_GEOMETRIES[geometry]
+    model = MscgcKanModel(ModelConfig(seed=4, **cfg))
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5, cfg["C"], cfg["S"], cfg["P"]))
+    softmax_cross_entropy(model.forward(x), np.arange(5) % cfg["M"]).backward()
+    named = model.named_parameters()
+    bad = [n for n, p in named if p.grad is None or p.grad.shape != p.shape
+           or not (p.grad.flags.c_contiguous and p.grad.flags.writeable)]
+    assert not bad, bad

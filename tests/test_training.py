@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mscgc.data import SynthSpec, gen_synthetic, split_dataset
-from mscgc.errors import ConfigError, DimensionError, NumericalError
+from mscgc.errors import ConfigError, DimensionError, NumericalError, UsageError
 from mscgc.graph import EVAL_BLOCK_BYTES
 from mscgc.model import ABLATION_VARIANTS, ModelConfig, MscgcKanModel
 from mscgc.tensor import Tensor, no_grad
@@ -78,9 +78,18 @@ class TestAdamWStep:
         p_w = Tensor(np.ones(2), requires_grad=True)
         p_b = Tensor(np.ones(2), requires_grad=True)
         opt = AdamW({"head": [("layer.weight", p_w), ("layer.bias", p_b)]}, cfg)
-        decays = {e["name"]: e["decay"] for e in opt.groups["head"]["entries"]}
+        decays = {s.name: s.decay for s in opt.slots}
         assert decays["layer.weight"] == cfg.weight_decay
         assert decays["layer.bias"] == 0.0
+
+    def test_step_leaves_every_grad_none(self):
+        p_w = Tensor(np.ones(2), requires_grad=True)
+        p_b = Tensor(np.ones(2), requires_grad=True)
+        p_w.grad = np.array([0.5, -0.5])
+        opt = AdamW({"head": [("layer.weight", p_w), ("layer.bias", p_b)]}, TrainConfig())
+        opt.step({"head": 1e-3})
+        assert p_w.grad is None and p_b.grad is None
+        assert p_w.data[0] < 1.0 < p_w.data[1]
 
 
 def whole_array_adamw(value, grad, m, v, step, lr_t, weight_decay,
@@ -112,8 +121,9 @@ class TestBlockedAdamW:
         whole = [a.copy() for a in blocked]
         for step in range(1, 6):
             grad = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2)
+            # adamw_step spends the gradient it is handed
             for update, (value, m, v) in ((adamw_step, blocked), (whole_array_adamw, whole)):
-                update(value, grad, m, v, step, 3e-4, weight_decay,
+                update(value, grad.copy(), m, v, step, 3e-4, weight_decay,
                        beta1=0.85, beta2=0.995, eps=1e-7)
             for a, b in zip(blocked, whole):
                 assert a.tobytes() == b.tobytes()
@@ -129,33 +139,22 @@ class TestBlockedAdamW:
             adamw_step(state[0], grad, state[1], state[2], 3, 1e-3, 0.05)
         assert [a.tobytes() for a in state] == before
 
-    @pytest.mark.parametrize("layout", ["value", "m", "v", "grad", "all"])
-    def test_non_contiguous_arrays_updated_in_place(self, layout):
+    def test_non_contiguous_or_read_only_arrays_rejected_untouched(self):
         rng = np.random.default_rng(5)
         shape = (ADAMW_BLOCK // 64 + 3, 70)
-        arrays = {"value": rng.normal(size=shape), "m": rng.normal(size=shape),
-                  "v": rng.random(shape), "grad": rng.normal(size=shape)}
-        expected = {k: a.copy() for k, a in arrays.items()}
-        whole_array_adamw(expected["value"], expected["grad"], expected["m"], expected["v"],
-                          2, 1e-3, 0.05)
-        for name in arrays:
-            if layout in (name, "all"):
-                arrays[name] = np.asfortranarray(arrays[name])
-        adamw_step(arrays["value"], arrays["grad"], arrays["m"], arrays["v"], 2, 1e-3, 0.05)
-        for name in ("value", "m", "v"):
-            np.testing.assert_array_equal(arrays[name], expected[name])
-
-    def test_strided_view_updated_in_place(self):
-        rng = np.random.default_rng(6)
-        base = rng.normal(size=(50, 60))
-        value = base[::2, 1::3]
-        expected = value.copy()
-        grad, m, v = rng.normal(size=value.shape), np.zeros(value.shape), np.zeros(value.shape)
-        whole_array_adamw(expected, grad, m.copy(), v.copy(), 1, 1e-2, 0.0)
-        untouched = base[1::2].copy()
-        adamw_step(value, grad, m, v, 1, 1e-2, 0.0)
-        np.testing.assert_array_equal(base[::2, 1::3], expected)
-        np.testing.assert_array_equal(base[1::2], untouched)
+        layouts = {"fortran": np.asfortranarray, "strided": lambda a: np.repeat(a, 2, 1)[:, ::2],
+                   "read-only": lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)}
+        for names in (["value"], ["grad"], ["m"], ["v"], ["value", "grad", "m", "v"]):
+            for layout, make in layouts.items():
+                arrays = {"value": rng.normal(size=shape), "grad": rng.normal(size=shape),
+                          "m": rng.normal(size=shape), "v": rng.random(shape)}
+                for name in names:
+                    arrays[name] = make(arrays[name])
+                before = {k: a.tobytes() for k, a in arrays.items()}
+                with pytest.raises(UsageError, match="C-contiguous"):
+                    adamw_step(arrays["value"], arrays["grad"], arrays["m"], arrays["v"],
+                               2, 1e-3, 0.05)
+                assert {k: a.tobytes() for k, a in arrays.items()} == before, (names, layout)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -355,6 +354,15 @@ class TestPredictLabels:
         with pytest.raises(DimensionError):
             predict_labels(model, np.zeros((3, 6, 8, 4)))
         assert model.mode == "train"
+
+    def test_non_finite_logits_name_the_first_such_sample(self):
+        model = MscgcKanModel(ModelConfig(C=4, S=6, D=5, P=7, M=3, hidden=6, out_dim=4))
+        samples = np.random.default_rng(3).normal(size=(40, 4, 6, 7))
+        samples[[23, 31], 1, 2, 3] = np.nan
+        with pytest.raises(NumericalError, match="sample 23$"):
+            predict_labels(model, samples, batch_size=8)
+        with pytest.raises(NumericalError, match="sample 31$"):
+            predict_labels(model, samples, batch_size=8, index=np.array([0, 31, 5, 23]))
 
     def test_index_reads_the_same_rows_as_a_copy(self):
         ds, _, model = tiny_setup()

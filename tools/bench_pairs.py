@@ -28,8 +28,8 @@ parent's interquartile range). Each metric with a bound gets a verdict:
 ``within`` or ``outside`` the bound by the medians, or ``unresolved`` where
 the parent's interquartile range exceeds the bound times its median, unless
 every change run beats every parent run. The summary printed at the end
-shows each verdict. The file is rewritten after every pair.
-Standard library only.
+shows each verdict, then both sides' source line counts. The file is
+rewritten after every pair. Standard library only.
 """
 
 from __future__ import annotations
@@ -200,6 +200,12 @@ def summarize(runs: list[dict], declared: dict, trace: int) -> dict:
     return out
 
 
+def src_lines_summary(series: dict) -> str:
+    """The source line counts of both sides, as the series recorded them."""
+    return (f"src lines: parent {series['parent']['src_lines']} → change "
+            f"{series['change']['src_lines']}")
+
+
 def write_json(path: Path, doc: dict) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -276,6 +282,7 @@ def main(argv=None) -> int:
                   f"{row['change']['median']:.6g} wins {row['change_wins']}/"
                   f"{summary['complete_pairs']} iqr {row['parent_iqr']:.3g}"
                   + (f"  {row['verdict']}" if "verdict" in row else ""))
+    print(src_lines_summary(series))
     return 0
 
 
