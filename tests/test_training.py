@@ -139,22 +139,49 @@ class TestBlockedAdamW:
             adamw_step(state[0], grad, state[1], state[2], 3, 1e-3, 0.05)
         assert [a.tobytes() for a in state] == before
 
-    def test_non_contiguous_or_read_only_arrays_rejected_untouched(self):
+    @pytest.mark.parametrize("layout", ["value", "m", "v", "grad", "all"])
+    def test_non_contiguous_arrays_updated_in_place(self, layout):
+        # adamw_step makes no hidden copy: a Fortran-ordered, strided or read-only
+        # form of an array is rejected with all four left byte-for-byte untouched,
+        # and only the caller's C-contiguous arrays are updated, in place
         rng = np.random.default_rng(5)
         shape = (ADAMW_BLOCK // 64 + 3, 70)
+        arrays = {"value": rng.normal(size=shape), "m": rng.normal(size=shape),
+                  "v": rng.random(shape), "grad": rng.normal(size=shape)}
+        expected = {k: a.copy() for k, a in arrays.items()}
+        whole_array_adamw(expected["value"], expected["grad"], expected["m"], expected["v"],
+                          2, 1e-3, 0.05)
         layouts = {"fortran": np.asfortranarray, "strided": lambda a: np.repeat(a, 2, 1)[:, ::2],
                    "read-only": lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)}
-        for names in (["value"], ["grad"], ["m"], ["v"], ["value", "grad", "m", "v"]):
-            for layout, make in layouts.items():
-                arrays = {"value": rng.normal(size=shape), "grad": rng.normal(size=shape),
-                          "m": rng.normal(size=shape), "v": rng.random(shape)}
-                for name in names:
-                    arrays[name] = make(arrays[name])
-                before = {k: a.tobytes() for k, a in arrays.items()}
-                with pytest.raises(UsageError, match="C-contiguous"):
-                    adamw_step(arrays["value"], arrays["grad"], arrays["m"], arrays["v"],
-                               2, 1e-3, 0.05)
-                assert {k: a.tobytes() for k, a in arrays.items()} == before, (names, layout)
+        for form, make in layouts.items():
+            given = {k: make(a) if layout in (k, "all") else a for k, a in arrays.items()}
+            before = {k: a.tobytes() for k, a in given.items()}
+            with pytest.raises(UsageError, match="C-contiguous"):
+                adamw_step(given["value"], given["grad"], given["m"], given["v"], 2, 1e-3, 0.05)
+            assert {k: a.tobytes() for k, a in given.items()} == before, form
+        adamw_step(arrays["value"], arrays["grad"], arrays["m"], arrays["v"], 2, 1e-3, 0.05)
+        for name in ("value", "m", "v"):
+            np.testing.assert_array_equal(arrays[name], expected[name])
+
+    def test_strided_view_updated_in_place(self):
+        # a strided view of a parameter is rejected and its base left as it was;
+        # the caller updates a contiguous copy and writes it back through the view
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(50, 60))
+        value = base[::2, 1::3]
+        expected = value.copy()
+        grad, m, v = rng.normal(size=value.shape), np.zeros(value.shape), np.zeros(value.shape)
+        whole_array_adamw(expected, grad.copy(), m.copy(), v.copy(), 1, 1e-2, 0.0)
+        before = base.copy()
+        with pytest.raises(UsageError, match="C-contiguous"):
+            adamw_step(value, grad, m, v, 1, 1e-2, 0.0)
+        np.testing.assert_array_equal(base, before)
+        assert not m.any() and not v.any()
+        work = np.ascontiguousarray(value)
+        adamw_step(work, grad, m, v, 1, 1e-2, 0.0)
+        value[...] = work
+        np.testing.assert_array_equal(base[::2, 1::3], expected)
+        np.testing.assert_array_equal(base[1::2], before[1::2])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
