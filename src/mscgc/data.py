@@ -141,11 +141,13 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
     n_total = spec.n_subjects * spec.trials_per_subject
     samples = np.zeros((n_total, spec.C, spec.S, spec.P))
     labels = np.zeros(n_total, dtype=np.int64)
-    subjects = np.zeros(n_total, dtype=np.int64)
-    sessions = np.zeros(n_total, dtype=np.int64)
-    trials = np.zeros(n_total, dtype=np.int64)
     onsets = np.zeros(n_total, dtype=np.int64)
-    motif_class_ids = np.zeros(n_total, dtype=np.int64)
+    # samples run subject by subject, session by session, trial by trial
+    subjects = np.repeat(np.arange(1, spec.n_subjects + 1), spec.trials_per_subject)
+    sessions = np.tile(np.repeat(np.arange(spec.sessions_per_subject), trials_per_session),
+                       spec.n_subjects)
+    trials = np.tile(np.arange(trials_per_session), spec.n_subjects * spec.sessions_per_subject)
+    motif_of_label = np.arange(spec.M) // 2 if spec.nonlinearity else np.arange(spec.M)
 
     onset_max = spec.S - LONG_MOTIF_LEN
     shapes = np.zeros((n_motif, spec.S))
@@ -153,7 +155,7 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
         shapes[m, :LONG_MOTIF_LEN] = longs[m]
         shapes[m, :SHORT_MOTIF_LEN] += shorts[m]
     i = 0
-    for subject in range(1, spec.n_subjects + 1):
+    for _ in range(spec.n_subjects):
         # Balanced within each subject (+-1): cycle the classes, then shuffle
         # within each session so trial order carries no label information.
         subject_labels = np.tile(np.arange(spec.M), spec.trials_per_subject // spec.M + 1)
@@ -161,8 +163,8 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
         for session in range(spec.sessions_per_subject):
             block = subject_labels[session * trials_per_session:(session + 1) * trials_per_session].copy()
             rng.shuffle(block)
-            for trial, label in enumerate(block):
-                motif_class = label // 2 if spec.nonlinearity else label
+            for label in block:
+                motif_class = motif_of_label[label]
                 x = rng.normal(0.0, spec.noise_scale, (spec.C, spec.S, spec.P)) \
                     if spec.noise_scale > 0 else np.zeros((spec.C, spec.S, spec.P))
                 onset = int(rng.integers(0, onset_max + 1))
@@ -182,11 +184,7 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
                     x += spec.latent_scale * z * latent_dir[None, None, :]
                 samples[i] = x
                 labels[i] = label
-                subjects[i] = subject
-                sessions[i] = session
-                trials[i] = trial
                 onsets[i] = onset
-                motif_class_ids[i] = motif_class
                 i += 1
 
     meta = {
@@ -200,7 +198,7 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
         "trials": trials.tolist(),
         "shapes": {"samples": list(samples.shape), "labels": [n_total]},
         "onsets": onsets.tolist(),
-        "motif_classes": motif_class_ids.tolist(),
+        "motif_classes": motif_of_label[labels].tolist(),
         "community_map": comm_of_channel.tolist(),
         "spec": asdict(spec),
     }

@@ -35,16 +35,15 @@ EVAL_BLOCK_BYTES = 3 << 18
 class AdjacencyParams:
     """Unconstrained learnable C x C matrix plus the degree clamp floor."""
 
-    def __init__(self, channels: int, eps_deg: float = 1e-6,
-                 rng: np.random.Generator | None = None, init_scale: float = 0.05):
+    eps_deg = 1e-6
+    # Small random init (zeros, i.e. an identity graph, when no rng is given)
+    # so structure can grow away from the ELU kink.
+    init_scale = 0.05
+
+    def __init__(self, channels: int, rng: np.random.Generator | None = None):
         self.channels = channels
-        self.eps_deg = eps_deg
-        # Small random init (zeros, i.e. an identity graph, when no rng is
-        # given) so structure can grow away from the ELU kink.
-        if rng is None or init_scale == 0.0:
-            values = np.zeros((channels, channels))
-        else:
-            values = rng.normal(0.0, init_scale, (channels, channels))
+        values = (np.zeros((channels, channels)) if rng is None
+                  else rng.normal(0.0, self.init_scale, (channels, channels)))
         self.A = Tensor(values, requires_grad=True)
 
     def named_parameters(self, prefix: str = ""):
@@ -118,11 +117,10 @@ def residual_postnorm(z: Tensor, x: Tensor, bn: BatchNorm1d, dropout: Dropout, m
 class MCRBlock:
     """Multi-scale causal branches, graph propagation, residual post-norm."""
 
-    def __init__(self, channels: int, feat_dim: int, kernels: Sequence[int] = (3, 5),
-                 dropout_rate: float = 0.1, rng: np.random.Generator | None = None,
+    def __init__(self, channels: int, feat_dim: int, rng: np.random.Generator,
+                 kernels: Sequence[int] = (3, 5), dropout_rate: float = 0.1,
                  dropout_rng: np.random.Generator | None = None,
-                 bn_momentum: float = 0.1, bn_eps: float = 1e-5, eps_deg: float = 1e-6):
-        rng = rng if rng is not None else np.random.default_rng()
+                 bn_momentum: float = 0.1, bn_eps: float = 1e-5):
         self.channels = channels
         self.feat_dim = feat_dim
         self.kernel_sizes = check_items("kernels", kernels, int, "[1, inf)")
@@ -131,7 +129,7 @@ class MCRBlock:
                          bn_momentum=bn_momentum, bn_eps=bn_eps)
             for k in self.kernel_sizes
         ]
-        self.adjacency = AdjacencyParams(channels, eps_deg=eps_deg, rng=rng)
+        self.adjacency = AdjacencyParams(channels, rng)
         self.post_bn = BatchNorm1d(channels, momentum=bn_momentum, eps=bn_eps)
         self.post_dropout = Dropout(dropout_rate, dropout_rng if dropout_rng is not None else rng)
 

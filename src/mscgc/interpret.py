@@ -8,6 +8,9 @@ The saliency target layer is the block output H (B, C, S, D): weights
 alpha[c, d] are the gradient of the target logit pooled over the window
 axis, and saliency(s) = relu(sum_{c,d} alpha[c, d] * H[c, s, d]), shifted
 and scaled to [0, 1]; the per-channel variant skips the sum over channels.
+The activation profile and the basis probe read H through
+`MscgcKanModel.infer`: an H that is not all finite raises NumericalError
+naming its sample, so no export averages a NaN.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import UsageError, ValidationError
 from .graph import normalize_adjacency
 from .kan import KanLayer, basis_expand
 from .model import MscgcKanModel
-from .tensor import Tensor, as_tensor, no_grad, reduce_sum
+from .tensor import Tensor, as_tensor, reduce_sum
 
 
 @dataclass
@@ -33,7 +36,6 @@ class HubReport:
 
     ranking: np.ndarray
     strengths: np.ndarray
-    adjacency: np.ndarray
 
 
 @dataclass
@@ -50,7 +52,7 @@ def export_adjacency(model: MscgcKanModel):
     off_diag = np.abs(a_hat) - np.diag(np.diag(np.abs(a_hat)))
     strengths = off_diag.sum(axis=1)
     order = np.lexsort((np.arange(strengths.size), -strengths))
-    return a_hat, HubReport(order, strengths, a_hat)
+    return a_hat, HubReport(order, strengths)
 
 
 def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> SaliencyMap:
@@ -115,16 +117,8 @@ def kan_basis_importance(model: MscgcKanModel, probe_batch=None, bins: int = 20)
     importance = np.array([w[:, group].mean() for group in groups])
     histograms = None
     if probe_batch is not None:
-        x = as_tensor(probe_batch)
-        with no_grad():
-            if x.ndim == 4:
-                # raw samples: run them through provider and block first
-                with model.eval_mode():
-                    flat = model.features(x).reshape(
-                        x.shape[0], model.cfg.C * model.cfg.S * model.cfg.D)
-            else:
-                flat = x
-            responses = basis_expand(kan.hidden_activations(flat), kan.harmonics).data
+        responses = np.concatenate(model.infer(np.asarray(probe_batch), lambda h: basis_expand(
+            kan.hidden_activations(h.reshape(len(h), -1)), kan.harmonics).data, "features"))
         histograms = {name: np.histogram(responses[:, group].ravel(), bins=bins)
                       for name, group in zip(kan.basis_names, groups)}
     return importance, histograms
@@ -134,30 +128,25 @@ def channel_activation(model: MscgcKanModel, samples, labels, batch_size: int = 
     """Per class, mean |H| per channel over samples and (S, D).
 
     Returns an (M, C) array; classes without samples get a zero row and a
-    warning, and are omitted from the CSV export.
+    warning, and are omitted from the CSV export. H comes from `model.infer`,
+    so a sample whose H is not all finite raises NumericalError naming it.
     """
     samples = np.asarray(samples)
     labels = np.asarray(labels)
     m, c = model.cfg.M, model.cfg.C
-    if labels.size and (labels.min() < 0 or labels.max() >= m):
-        raise ValidationError(f"labels must lie in [0, {m})")
+    if labels.shape != (len(samples),) or labels.size and (
+            labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= m):
+        raise ValidationError(f"labels must be one integer in [0, {m}) per sample")
+    labels = labels.astype(np.int64)  # an empty label list may be a float array
+    parts = model.infer(samples, lambda h: np.abs(h).mean(axis=(2, 3)), "features", batch_size)
     sums = np.zeros((m, c))
-    counts = np.zeros(m, dtype=np.int64)
-    with model.eval_mode(), no_grad():
-        for start in range(0, len(samples), batch_size):
-            batch = samples[start:start + batch_size]
-            h = np.abs(model.features(batch).data)        # (B, C, S, D)
-            per_sample = h.mean(axis=(2, 3))
-            for cls, row in zip(labels[start:start + batch_size], per_sample):
-                sums[cls] += row
-                counts[cls] += 1
+    # np.add.at adds the rows in sample order, as a loop over samples would
+    np.add.at(sums, labels, np.concatenate(parts) if parts else np.zeros((0, c)))
+    counts = np.bincount(labels, minlength=m)
     empty = [cls for cls in range(m) if counts[cls] == 0]
     for cls in empty:
         warnings.warn(f"class {cls} has no samples; activation row omitted")
-    activation = np.zeros((m, c))
-    present = counts > 0
-    activation[present] = sums[present] / counts[present, None]
-    return activation, empty
+    return sums / np.maximum(counts, 1)[:, None], empty
 
 
 # -- CSV writers --------------------------------------------------------------

@@ -19,6 +19,7 @@ from .tensor import Tensor, as_tensor, concat, cos, silu, sin, square, tanh
 
 BASIS_NAMES = ("h", "h2", "sin", "tanh")
 HARMONICS = (0, 2, 3)
+LN_EPS = 1e-5  # layer-norm epsilon of the mapping's hidden vector
 
 
 def basis_names(harmonics: int = 0) -> tuple[str, ...]:
@@ -42,13 +43,12 @@ class KanLayer:
     """Projection -> layer norm -> SiLU -> basis expansion -> projection."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 hidden: int = 512, harmonics: int = 0, ln_eps: float = 1e-5):
+                 hidden: int = 512, harmonics: int = 0):
         hidden = check("hidden", hidden, int, "[1, inf)")
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden
         self.harmonics = harmonics
-        self.ln_eps = ln_eps
         self.basis_names = basis_names(harmonics)
         self.num_bases = len(self.basis_names)
         self.in_proj = LinearLayer(in_dim, hidden, rng)
@@ -61,7 +61,7 @@ class KanLayer:
         x_flat = as_tensor(x_flat)
         if x_flat.ndim != 2 or x_flat.shape[1] != self.in_dim:
             raise DimensionError(f"kan layer expects (B, {self.in_dim}), got {x_flat.shape}")
-        h = layer_norm(self.in_proj(x_flat), self.ln_gamma, self.ln_beta, self.ln_eps)
+        h = layer_norm(self.in_proj(x_flat), self.ln_gamma, self.ln_beta, LN_EPS)
         return silu(h)
 
     def __call__(self, x_flat: Tensor) -> Tensor:

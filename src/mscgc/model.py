@@ -19,11 +19,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checks import check_fields, check_items
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericalError
 from .graph import MCRBlock
 from .kan import ClassifierHead, KanLayer, basis_names
 from .layers import LinearLayer, check_mode
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, no_grad
 
 PROVIDER_KINDS = ("stub_projection", "file_features")
 BLOCK_MODES = ("mcr", "identity")
@@ -180,6 +180,29 @@ class MscgcKanModel:
         return self.head(self.features(x))
 
     __call__ = forward
+
+    def infer(self, samples, reduce, stage: str = "forward", batch_size: int = 256,
+              index=None) -> list:
+        """`reduce` of each batch's `stage` output ("forward": logits, "features":
+        H) as a numpy array, run in eval mode under `no_grad`, both restored on
+        exit, also on error. With `index`, reads the rows `samples[index]` in
+        that order, one batch at a time. Raises NumericalError naming the first
+        sample, by its row in `samples`, whose output is not all finite."""
+        output = {"forward": "logits", "features": "features"}[stage]
+        run = getattr(self, stage)  # looked up per call, so a patched method is the one run
+        rows = len(samples) if index is None else len(index)
+        reduced = []
+        with self.eval_mode(), no_grad():
+            for start in range(0, rows, batch_size):
+                batch = slice(start, start + batch_size)
+                y = run(samples[batch] if index is None else samples[index[batch]]).data
+                finite = np.isfinite(y).reshape(len(y), -1).all(axis=1)
+                if not finite.all():
+                    row = start + int(np.argmin(finite))
+                    raise NumericalError(f"non-finite {output} for sample "
+                                         f"{row if index is None else int(index[row])}")
+                reduced.append(reduce(y))
+        return reduced
 
     @staticmethod
     def _stage(name, fn, *args):

@@ -6,6 +6,8 @@ The cosine horizon is the total iteration count (epochs x batches per epoch),
 with no restarts. Weight decay skips biases and norm scales/shifts unless
 `decay_biases` is set. Checkpoints are replaced only on strictly greater
 validation kappa, so the earliest best epoch wins ties.
+Every prediction pass runs through `MscgcKanModel.infer`, so logits that are
+not all finite raise NumericalError naming the first such sample.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .checks import check_fields, check_items
 from .errors import ConfigError, DimensionError, NumericalError, UsageError, ValidationError
 from .metrics import MetricsReport, report_from_predictions
 from .model import MscgcKanModel
-from .tensor import no_grad, softmax_cross_entropy
+from .tensor import softmax_cross_entropy
 
 # Decay skips biases, norm scales/shifts, and the adjacency logits (decaying
 # the adjacency pulls the graph back to the identity and erases learned
@@ -219,22 +221,10 @@ class TrainResult:
 
 def predict_labels(model: MscgcKanModel, samples: np.ndarray, batch_size: int = 256,
                    index=None) -> np.ndarray:
-    """Eval-mode argmax predictions, batched and without a tape; restores the
-    model's prior mode. With `index`, the rows `samples[index]` are predicted
-    in that order, gathered one batch at a time. When a batch's logits are not
-    all finite, raises NumericalError naming the first such sample."""
-    rows = len(samples) if index is None else len(index)
-    preds = []
-    with model.eval_mode(), no_grad():
-        for start in range(0, rows, batch_size):
-            batch = slice(start, start + batch_size)
-            logits = model.forward(samples[batch] if index is None else samples[index[batch]])
-            finite = np.isfinite(logits.data).all(axis=1)
-            if not finite.all():
-                row = start + int(np.argmin(finite))
-                raise NumericalError(f"non-finite logits for sample "
-                                     f"{row if index is None else int(index[row])}")
-            preds.append(np.argmax(logits.data, axis=1))
+    """Argmax of the logits of `model.infer`; with `index`, those of the rows
+    `samples[index]`, in that order."""
+    preds = model.infer(samples, lambda logits: np.argmax(logits, axis=1),
+                        batch_size=batch_size, index=index)
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 

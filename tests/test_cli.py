@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscgc.cli import main
+from mscgc.cli import load_split, main
+from mscgc.config import RunConfig
 from mscgc.data import read_tensor, save_checkpoint, write_tensor
+from mscgc.errors import MscgcError
 from mscgc.model import ModelConfig, MscgcKanModel
 
 TINY_SPEC = {
@@ -52,6 +54,16 @@ def trained(workspace):
     code, run_dir = run_training(workspace, "shared")
     assert code == 0
     return run_dir / "best.ckpt"
+
+
+def nan_copy(data_dir, dest):
+    """A copy of the dataset in `data_dir` whose samples are all NaN."""
+    dest.mkdir()
+    samples = read_tensor(data_dir / "samples.mstf")
+    write_tensor(dest / "samples.mstf", np.full_like(samples, np.nan), name="samples")
+    for name in ("labels.mstf", "meta.json"):
+        (dest / name).write_bytes((data_dir / name).read_bytes())
+    return dest
 
 
 def run_training(workspace, run_name, extra=()):
@@ -231,12 +243,7 @@ class TestTrain:
 
     def test_non_finite_abort_exits_3(self, workspace, tmp_path):
         root, _, config_file, data_dir = workspace
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        samples = read_tensor(data_dir / "samples.mstf")
-        write_tensor(broken / "samples.mstf", np.full_like(samples, np.nan), name="samples")
-        for name in ("labels.mstf", "meta.json"):
-            (broken / name).write_bytes((data_dir / name).read_bytes())
+        broken = nan_copy(data_dir, tmp_path / "broken")
         code = main(["train", "--config", str(config_file), "--data", str(broken),
                      "--out", str(tmp_path / "runs")])
         assert code == 3
@@ -258,12 +265,7 @@ class TestEval:
     def test_non_finite_logits_exit_3_without_metrics(self, workspace, trained, tmp_path,
                                                        capsys):
         _, _, _, data_dir = workspace
-        broken = tmp_path / "broken"
-        broken.mkdir()
-        samples = read_tensor(data_dir / "samples.mstf")
-        write_tensor(broken / "samples.mstf", np.full_like(samples, np.nan), name="samples")
-        for name in ("labels.mstf", "meta.json"):
-            (broken / name).write_bytes((data_dir / name).read_bytes())
+        broken = nan_copy(data_dir, tmp_path / "broken")
         code = main(["eval", "--data", str(broken), "--out", str(tmp_path / "eval"),
                      "--run-name", "e", "--checkpoint", str(trained)])
         assert code == 3
@@ -493,6 +495,16 @@ class TestInterpret:
         assert "train.lr_head" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_non_finite_samples_exit_3_without_activation(self, workspace, trained, tmp_path,
+                                                         capsys):
+        _, _, _, data_dir = workspace
+        broken = nan_copy(data_dir, tmp_path / "broken")
+        code = main(["interpret", "--checkpoint", str(trained), "--data", str(broken),
+                     "--out", str(tmp_path / "itp"), "--run-name", "i", "--samples", "0"])
+        assert code == 3
+        assert capsys.readouterr().err.endswith("non-finite features for sample 0\n")
+        assert not (tmp_path / "itp" / "i" / "activation.csv").exists()
+
     def test_identity_block_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         _, _, _, data_dir = workspace
         code, run_dir = run_training(workspace, "identity-src", ["--model.block=identity"])
@@ -502,6 +514,70 @@ class TestInterpret:
                      "--data", str(data_dir), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "no graph block" in capsys.readouterr().err
+
+
+# Each fuzzed file, with the mutations it gets: flips of a byte in the magic
+# and JSON header lines, truncations, flips of a payload byte, and an aligned
+# 8-byte payload word set to all ones (a NaN in a float64 payload).
+# meta.json is all header.
+FUZZ_CASES = [(name, kind) for name in ("samples.mstf", "labels.mstf", "meta.json", "best.ckpt")
+              for kind in ("header", "truncate", "payload", "nan")
+              if name != "meta.json" or kind in ("header", "truncate")]
+
+
+def mutate(raw: bytes, name: str, kind: str, rng) -> bytes:
+    payload = len(raw) if name == "meta.json" else raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    if kind == "truncate":
+        return raw[:int(rng.integers(0, len(raw)))]
+    out = bytearray(raw)
+    if kind == "nan":
+        at = payload + 8 * int(rng.integers(0, (len(raw) - payload) // 8))
+        out[at:at + 8] = b"\xff" * 8
+    else:
+        at = int(rng.integers(0, payload) if kind == "header" else rng.integers(payload, len(raw)))
+        out[at] ^= int(rng.integers(1, 256))
+    return bytes(out)
+
+
+def non_finite_rows(path) -> np.ndarray:
+    """Rows of a samples file that hold a non-finite value; none when it does not load."""
+    try:
+        samples = read_tensor(path)
+    except MscgcError:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(~np.isfinite(samples.reshape(len(samples), -1)).all(axis=1))
+
+
+class TestFuzz:
+    """`eval` and `interpret --samples 0` on seeded mutations of each input
+    return a documented exit code without an exception escaping `main`, and
+    neither exits 0 on samples it reads that hold a non-finite value. A flipped
+    checkpoint payload byte may still exit 0: checkpoints carry no checksum."""
+
+    @pytest.mark.parametrize("name,kind", FUZZ_CASES)
+    def test_mutated_input(self, workspace, trained, tmp_path, name, kind):
+        _, _, _, data_dir = workspace
+        test_rows = load_split(data_dir, RunConfig.load(None, {}))[1].test
+        sources = {n: data_dir / n for n in ("samples.mstf", "labels.mstf", "meta.json")}
+        sources["best.ckpt"] = trained
+        rng = np.random.default_rng([FUZZ_CASES.index((name, kind)), 17])
+        for trial in range(8):
+            copy = tmp_path / f"copy{trial}"
+            copy.mkdir()
+            for n, src in sources.items():
+                raw = src.read_bytes()
+                (copy / n).write_bytes(mutate(raw, n, kind, rng) if n == name else raw)
+            args = ["--data", str(copy), "--checkpoint", str(copy / "best.ckpt"),
+                    "--out", str(copy / "runs")]
+            codes = {"eval": main(["eval", *args, "--run-name", "e"]),
+                     "interpret": main(["interpret", *args, "--run-name", "i", "--samples", "0"])}
+            assert set(codes.values()) <= {0, 2, 3}, codes
+            bad = non_finite_rows(copy / "samples.mstf")
+            # interpret reads every sample of this 160-sample set; eval, the test split
+            if bad.size:
+                assert codes["interpret"] != 0, (trial, bad)
+            if np.isin(bad, test_rows).any():
+                assert codes["eval"] != 0, (trial, bad)
 
 
 class TestGradcheckCommand:

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from mscgc.errors import DimensionError, UsageError, ValidationError
+from mscgc.errors import DimensionError, NumericalError, UsageError, ValidationError
 from mscgc.interpret import (
     channel_activation,
     export_adjacency,
@@ -15,7 +15,7 @@ from mscgc.interpret import (
 )
 from mscgc.kan import ClassifierHead, KanLayer
 from mscgc.model import ModelConfig, MscgcKanModel
-from mscgc.tensor import Tensor, no_grad, reduce_sum
+from mscgc.tensor import Tensor, grad_enabled, no_grad, reduce_sum
 from mscgc.training import evaluate_model
 
 
@@ -338,6 +338,12 @@ class TestKanBasisImportance:
             rows = list(csv.reader(fh))[1:]
         assert [r[0] for r in rows] == names
 
+    def test_non_finite_probe_sample_named(self, sample_batch):
+        x = sample_batch[0].copy()
+        x[4, 0, 0, 0] = np.inf
+        with pytest.raises(NumericalError, match="non-finite features for sample 4$"):
+            kan_basis_importance(build_model(), probe_batch=x)
+
     def test_affine_mapping_rejected(self):
         with pytest.raises(UsageError):
             kan_basis_importance(build_model(kan="affine"))
@@ -372,6 +378,34 @@ class TestChannelActivation:
         labels[5] = bad
         with pytest.raises(ValidationError):
             channel_activation(build_model(), sample_batch[0], labels)
+
+    @pytest.mark.parametrize("labels", [np.zeros(11, dtype=np.int64), np.full(12, 1.0)])
+    def test_labels_not_one_integer_per_sample_rejected(self, sample_batch, labels):
+        with pytest.raises(ValidationError):
+            channel_activation(build_model(), sample_batch[0], labels)
+
+    def test_non_finite_sample_named_by_its_row(self, sample_batch):
+        x, y = sample_batch
+        x = x.copy()
+        x[[7, 9], 2, 3, 1] = np.nan
+        model = build_model()
+        model.set_mode("train")
+        with pytest.raises(NumericalError, match="non-finite features for sample 7$"):
+            channel_activation(model, x, y, batch_size=5)
+        assert model.mode == "train" and grad_enabled()
+
+    def test_sums_equal_a_loop_over_samples(self, sample_batch):
+        model = build_model()
+        x, y = sample_batch
+        activation, _ = channel_activation(model, x, y, batch_size=5)
+        sums, counts = np.zeros((3, 4)), np.zeros(3)
+        with no_grad():
+            for start in range(0, 12, 5):
+                h = model.features(x[start:start + 5]).data
+                for row, cls in zip(np.abs(h).mean(axis=(2, 3)), y[start:start + 5]):
+                    sums[cls] += row
+                    counts[cls] += 1
+        assert activation.tobytes() == (sums / counts[:, None]).tobytes()
 
 
 class TestExportAll:

@@ -462,6 +462,22 @@ class TestBackward:
                     calls.append(f"{path.name}:{node.lineno}")
         assert calls == [], f"backward called with arguments at {calls}"
 
+    def test_default_rng_is_seeded_in_src(self):
+        """A generator made without a seed draws from OS entropy, so a model or
+        dataset built from it differs on every run."""
+        calls = []
+        for path in sorted(Path(mscgc.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                unseeded = not (node.args or node.keywords) or (
+                    len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value is None)
+                if name == "default_rng" and unseeded:
+                    calls.append(f"{path.name}:{node.lineno}")
+        assert calls == [], f"default_rng called without a seed at {calls}"
+
 
 class TestFiniteDiffCheck:
     def test_sin_sum(self):
