@@ -69,8 +69,8 @@ class SynthSpec:
     INTERVALS = {**dict.fromkeys(("n_subjects", "trials_per_subject", "sessions_per_subject",
                                   "C", "P", "M", "communities"), "[1, inf)"),
                  "S": f"[{LONG_MOTIF_LEN}, inf)", "seed": "[0, inf)",
-                 **dict.fromkeys(("noise_scale", "motif_amp", "community_scale", "latent_scale"),
-                                 FINITE)}
+                 "noise_scale": "[0, inf)", "community_scale": "[0, inf)",
+                 "motif_amp": FINITE, "latent_scale": FINITE}
 
     def __post_init__(self):
         check_fields(self)
@@ -117,20 +117,14 @@ def community_map(channels: int, communities: int) -> np.ndarray:
 # readout of z carries the bit, while sign(sin z) equals the bit exactly and
 # alternates over four intervals of (-2pi, 2pi).
 _LATENT_BASES = np.array([0.0, -2.0 * np.pi])
-_LATENT_WEIGHTS = np.array([0.75, 0.25])
-
-
-def _draw_latent(rng: np.random.Generator, bit: int) -> float:
-    base = _LATENT_BASES[rng.choice(len(_LATENT_BASES), p=_LATENT_WEIGHTS)]
-    z = base + rng.uniform(0.0, np.pi)
-    return z if bit == 1 else -z
+_LATENT_CDF = np.cumsum([0.75, 0.25])
 
 
 def gen_synthetic(spec: SynthSpec) -> SynthDataset:
     rng = np.random.default_rng(spec.seed)
     n_motif = spec.motif_classes
     comm_of_channel = community_map(spec.C, spec.communities)
-    comm_members = [np.where(comm_of_channel == g)[0] for g in range(spec.communities)]
+    bounds = np.searchsorted(comm_of_channel, np.arange(spec.communities + 1))
     shorts, longs = _make_motifs(rng, n_motif)
     directions = rng.normal(size=(n_motif, spec.P))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -154,6 +148,12 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
     for m in range(n_motif):
         shapes[m, :LONG_MOTIF_LEN] = longs[m]
         shapes[m, :SHORT_MOTIF_LEN] += shorts[m]
+    # bumps[m, onset] is the (S, P) motif field of class m rolled to the onset
+    fields = np.stack([np.roll(shapes, onset, axis=1) for onset in range(onset_max + 1)], axis=1)
+    bumps = spec.motif_amp * fields[..., None] * directions[:, None, None, :]
+    offset = np.empty(spec.P)
+    # Each draw fills its destination in place with the values, order and
+    # arithmetic of `normal(0, scale)` (scale * z + 0.0) and `choice`.
     i = 0
     for _ in range(spec.n_subjects):
         # Balanced within each subject (+-1): cycle the classes, then shuffle
@@ -164,25 +164,29 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
             block = subject_labels[session * trials_per_session:(session + 1) * trials_per_session].copy()
             rng.shuffle(block)
             for label in block:
-                motif_class = motif_of_label[label]
-                x = rng.normal(0.0, spec.noise_scale, (spec.C, spec.S, spec.P)) \
-                    if spec.noise_scale > 0 else np.zeros((spec.C, spec.S, spec.P))
+                x = samples[i]
+                if spec.noise_scale > 0:
+                    rng.standard_normal(out=x)
+                    x *= spec.noise_scale
+                    x += 0.0
                 onset = int(rng.integers(0, onset_max + 1))
-                field = np.roll(shapes[motif_class], onset)
-                bump = spec.motif_amp * field[:, None] * directions[motif_class][None, :]
+                bump = bumps[motif_of_label[label], onset]
                 for g in range(spec.communities):
+                    members = x[bounds[g]:bounds[g + 1]]
                     if spec.community_scale > 0:
-                        offset = rng.normal(0.0, spec.community_scale, spec.P)
-                        x[comm_members[g]] += offset[None, None, :]
+                        rng.standard_normal(out=offset)
+                        offset *= spec.community_scale
+                        offset += 0.0
+                        members += offset
                     # equiprobable sign keeps every class's mean field at zero
-                    sign = float(rng.choice([-1.0, 1.0])) if spec.sign_flips else 1.0
-                    x[comm_members[g]] += sign * bump[None]
+                    sign = (-1.0, 1.0)[rng.integers(0, 2)] if spec.sign_flips else 1.0
+                    members += sign * bump
                 if spec.nonlinearity:
                     # sign(sin z) equals the assigned label's low bit, so the
                     # per-subject class balance stays exact.
-                    z = _draw_latent(rng, label % 2)
-                    x += spec.latent_scale * z * latent_dir[None, None, :]
-                samples[i] = x
+                    z = _LATENT_BASES[_LATENT_CDF.searchsorted(rng.random(), side="right")]
+                    z += rng.uniform(0.0, np.pi)
+                    x += spec.latent_scale * (z if label % 2 == 1 else -z) * latent_dir
                 labels[i] = label
                 onsets[i] = onset
                 i += 1

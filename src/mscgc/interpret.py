@@ -161,32 +161,33 @@ def _write_csv(path, header, rows):
 
 
 def export_all(model: MscgcKanModel, samples, labels, out_dir, max_saliency_samples: int = 16):
-    """Write the five interpretability CSVs into `out_dir`."""
+    """Write the five interpretability CSVs into `out_dir`. Every table is
+    computed before the first file is written, so an export that fails
+    writes none."""
+    a_hat, hubs = export_adjacency(model)
+    saliency_rows = []
+    for sid in range(min(max_saliency_samples, len(samples))):
+        sal = gradcam_temporal(model, samples[sid], int(labels[sid]))
+        saliency_rows.extend([sid, s, repr(float(value))] for s, value in enumerate(sal.temporal))
+    importance, _ = kan_basis_importance(model)
+    activation, empty = channel_activation(model, samples, labels)
+
+    tables = {
+        "adjacency.csv": (None, [[repr(v) for v in row] for row in a_hat]),
+        "hubs.csv": (["rank", "channel", "strength"],
+                     [[rank, int(ch), repr(float(hubs.strengths[ch]))]
+                      for rank, ch in enumerate(hubs.ranking)]),
+        "saliency.csv": (["sample", "s", "value"], saliency_rows),
+        "kan_importance.csv": (["basis", "importance"],
+                               [[name, repr(float(value))]
+                                for name, value in zip(model.kan.basis_names, importance)]),
+        "activation.csv": (["class", "channel", "value"],
+                           [[cls, ch, repr(float(activation[cls, ch]))]
+                            for cls in range(model.cfg.M) if cls not in empty
+                            for ch in range(model.cfg.C)]),
+    }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    a_hat, hubs = export_adjacency(model)
-    _write_csv(out_dir / "adjacency.csv", None, [[repr(v) for v in row] for row in a_hat])
-    _write_csv(out_dir / "hubs.csv", ["rank", "channel", "strength"],
-               [[rank, int(ch), repr(float(hubs.strengths[ch]))]
-                for rank, ch in enumerate(hubs.ranking)])
-
-    saliency_rows = []
-    n = min(max_saliency_samples, len(samples))
-    for sid in range(n):
-        sal = gradcam_temporal(model, samples[sid], int(labels[sid]))
-        for s, value in enumerate(sal.temporal):
-            saliency_rows.append([sid, s, repr(float(value))])
-    _write_csv(out_dir / "saliency.csv", ["sample", "s", "value"], saliency_rows)
-
-    importance, _ = kan_basis_importance(model)
-    _write_csv(out_dir / "kan_importance.csv", ["basis", "importance"],
-               [[name, repr(float(value))] for name, value in zip(model.kan.basis_names, importance)])
-
-    activation, empty = channel_activation(model, samples, labels)
-    rows = [[cls, ch, repr(float(activation[cls, ch]))]
-            for cls in range(model.cfg.M) if cls not in empty
-            for ch in range(model.cfg.C)]
-    _write_csv(out_dir / "activation.csv", ["class", "channel", "value"], rows)
-
-    return ["adjacency.csv", "hubs.csv", "saliency.csv", "kan_importance.csv", "activation.csv"]
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
+    return list(tables)

@@ -10,7 +10,10 @@ residual post-norm and the whole MCR block (dropout at rate 0 or in eval
 mode, where it is the identity). The optimizer half transcribes one AdamW
 step in textbook form and the global-norm gradient clip; the tests hold the
 package to those at a measured tolerance instead, since the package computes
-the step in a rearranged form that rounds differently.
+the step in a rearranged form that rounds differently. The last section
+keeps the synthetic generator as a plain per-sample loop of `Generator`
+calls, so tests can hold the package's draw order and arithmetic to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -248,3 +251,104 @@ def clip_gradients(grads, max_norm: float):
             out[i] = float(g[i]) * scale
         clipped.append(out)
     return norm, clipped
+
+
+# -- the synthetic generator's draw order --------------------------------------
+
+SHORT_MOTIF_LEN = 3
+LONG_MOTIF_LEN = 5
+_SHORT_ENVELOPE = np.array([2.0, 0.55, 0.35])
+_LONG_ENVELOPE = np.array([2.0, 0.60, 0.40, 0.28, 0.18])
+_LATENT_BASES = np.array([0.0, -2.0 * np.pi])
+_LATENT_WEIGHTS = np.array([0.75, 0.25])
+
+
+def _make_motifs(rng: np.random.Generator, count: int):
+    """Per-class (short, long) temporal shapes: front-loaded, zero mean."""
+    shorts, longs = [], []
+    for _ in range(count):
+        for envelope, sink in ((_SHORT_ENVELOPE, shorts), (_LONG_ENVELOPE, longs)):
+            signs = rng.choice([-1.0, 1.0], size=envelope.size)
+            signs[0] = 1.0
+            motif = envelope * signs
+            motif = motif - motif.mean()
+            sink.append(motif / np.abs(motif).max())
+    return np.array(shorts), np.array(longs)
+
+
+def community_map(channels: int, communities: int) -> np.ndarray:
+    """Contiguous partition of channel indices into communities."""
+    return (np.arange(channels) * communities) // channels
+
+
+def _draw_latent(rng: np.random.Generator, bit: int) -> float:
+    base = _LATENT_BASES[rng.choice(len(_LATENT_BASES), p=_LATENT_WEIGHTS)]
+    z = base + rng.uniform(0.0, np.pi)
+    return z if bit == 1 else -z
+
+
+def gen_synthetic(spec):
+    """The generator's per-sample loop as it stood before its draws were
+    rewritten in place: fancy-indexed community updates, a fresh bump per
+    sample, `choice` for the sign and the latent interval. Returns
+    (samples, labels, onsets); the package must match it bit for bit."""
+    rng = np.random.default_rng(spec.seed)
+    n_motif = spec.motif_classes
+    comm_of_channel = community_map(spec.C, spec.communities)
+    comm_members = [np.where(comm_of_channel == g)[0] for g in range(spec.communities)]
+    shorts, longs = _make_motifs(rng, n_motif)
+    directions = rng.normal(size=(n_motif, spec.P))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    latent_dir = rng.normal(size=spec.P)
+    latent_dir /= np.linalg.norm(latent_dir)
+
+    trials_per_session = spec.trials_per_subject // spec.sessions_per_subject
+    n_total = spec.n_subjects * spec.trials_per_subject
+    samples = np.zeros((n_total, spec.C, spec.S, spec.P))
+    labels = np.zeros(n_total, dtype=np.int64)
+    onsets = np.zeros(n_total, dtype=np.int64)
+    # samples run subject by subject, session by session, trial by trial
+    subjects = np.repeat(np.arange(1, spec.n_subjects + 1), spec.trials_per_subject)
+    sessions = np.tile(np.repeat(np.arange(spec.sessions_per_subject), trials_per_session),
+                       spec.n_subjects)
+    trials = np.tile(np.arange(trials_per_session), spec.n_subjects * spec.sessions_per_subject)
+    motif_of_label = np.arange(spec.M) // 2 if spec.nonlinearity else np.arange(spec.M)
+
+    onset_max = spec.S - LONG_MOTIF_LEN
+    shapes = np.zeros((n_motif, spec.S))
+    for m in range(n_motif):
+        shapes[m, :LONG_MOTIF_LEN] = longs[m]
+        shapes[m, :SHORT_MOTIF_LEN] += shorts[m]
+    i = 0
+    for _ in range(spec.n_subjects):
+        # Balanced within each subject (+-1): cycle the classes, then shuffle
+        # within each session so trial order carries no label information.
+        subject_labels = np.tile(np.arange(spec.M), spec.trials_per_subject // spec.M + 1)
+        subject_labels = subject_labels[:spec.trials_per_subject]
+        for session in range(spec.sessions_per_subject):
+            block = subject_labels[session * trials_per_session:(session + 1) * trials_per_session].copy()
+            rng.shuffle(block)
+            for label in block:
+                motif_class = motif_of_label[label]
+                x = rng.normal(0.0, spec.noise_scale, (spec.C, spec.S, spec.P)) \
+                    if spec.noise_scale > 0 else np.zeros((spec.C, spec.S, spec.P))
+                onset = int(rng.integers(0, onset_max + 1))
+                field = np.roll(shapes[motif_class], onset)
+                bump = spec.motif_amp * field[:, None] * directions[motif_class][None, :]
+                for g in range(spec.communities):
+                    if spec.community_scale > 0:
+                        offset = rng.normal(0.0, spec.community_scale, spec.P)
+                        x[comm_members[g]] += offset[None, None, :]
+                    # equiprobable sign keeps every class's mean field at zero
+                    sign = float(rng.choice([-1.0, 1.0])) if spec.sign_flips else 1.0
+                    x[comm_members[g]] += sign * bump[None]
+                if spec.nonlinearity:
+                    # sign(sin z) equals the assigned label's low bit, so the
+                    # per-subject class balance stays exact.
+                    z = _draw_latent(rng, label % 2)
+                    x += spec.latent_scale * z * latent_dir[None, None, :]
+                samples[i] = x
+                labels[i] = label
+                onsets[i] = onset
+                i += 1
+    return samples, labels, onsets

@@ -101,7 +101,8 @@ class TestGenData:
 
     @pytest.mark.parametrize("spec", [[], {"C": "x"}, {"n_subjects": -1},
                                       {"sessions_per_subject": 0}, {"n_subjects": 0}, {"P": 0},
-                                      {"nonlinearity": "no"}])
+                                      {"nonlinearity": "no"}, {"noise_scale": -1},
+                                      {"community_scale": -0.5}])
     def test_bad_spec_exits_2_and_writes_nothing(self, tmp_path, spec, capsys):
         spec_file = tmp_path / "bad.json"
         spec_file.write_text(json.dumps(spec))
@@ -503,7 +504,8 @@ class TestInterpret:
                      "--out", str(tmp_path / "itp"), "--run-name", "i", "--samples", "0"])
         assert code == 3
         assert capsys.readouterr().err.endswith("non-finite features for sample 0\n")
-        assert not (tmp_path / "itp" / "i" / "activation.csv").exists()
+        # every table is computed before the first CSV is written
+        assert sorted(p.name for p in (tmp_path / "itp" / "i").iterdir()) == ["effective.json"]
 
     def test_identity_block_checkpoint_exits_2(self, workspace, tmp_path, capsys):
         _, _, _, data_dir = workspace

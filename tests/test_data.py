@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from mscgc.data import (
     _DTYPES,
     CKPT_MAGIC,
@@ -71,10 +72,17 @@ class TestSynthSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("nonlinearity", "no"), ("sign_flips", 0), ("noise_scale", float("nan")),
-        ("motif_amp", float("inf")), ("latent_scale", "2.5"), ("seed", True), ("seed", -1)])
+        ("motif_amp", float("inf")), ("latent_scale", "2.5"), ("seed", True), ("seed", -1),
+        ("noise_scale", -0.5), ("community_scale", -1e-9)])
     def test_flags_scales_and_seed_checked(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_spec(**{field: value})
+
+    def test_negative_amplitudes_accepted(self):
+        # a negative amplitude flips the bump or the latent, where a negative
+        # noise or offset scale would silently drop its term
+        spec = small_spec(motif_amp=-3.0, latent_scale=-2.5, noise_scale=0.0, community_scale=0.0)
+        assert (spec.motif_amp, spec.latent_scale) == (-3.0, -2.5)
 
     def test_numpy_integers_round_trip_as_plain_ints(self, tmp_path):
         fields = dict(n_subjects=3, trials_per_subject=40, C=6, S=8, P=10, M=4, seed=13)
@@ -161,6 +169,48 @@ class TestGenerator:
         got = (ds.samples.tobytes(), ds.labels.tobytes(),
                json.dumps(ds.meta, sort_keys=True).encode())
         assert tuple(hashlib.sha256(b).hexdigest() for b in got) == digests
+
+    # The generator draws in place and reads bumps from a table; the reference
+    # is a plain per-sample loop of `normal`, `choice` and fancy-indexed
+    # updates. Equal bytes pin the draw order and the arithmetic at every
+    # geometry, not only at the five pinned default-size specs.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_reference_loop(self, data):
+        nonlinearity = data.draw(st.booleans())
+        channels = data.draw(st.integers(1, 9))
+        sessions = data.draw(st.integers(1, 3))
+        scale = st.sampled_from([0.0, 0.4, 1.0, 2.3])
+        spec = SynthSpec(
+            n_subjects=data.draw(st.integers(1, 3)), sessions_per_subject=sessions,
+            trials_per_subject=sessions * data.draw(st.integers(1, 5)),
+            C=channels, S=data.draw(st.integers(5, 11)), P=data.draw(st.integers(1, 6)),
+            M=data.draw(st.integers(1, 3).map(lambda k: 2 * k) if nonlinearity
+                        else st.integers(1, 5)),
+            seed=data.draw(st.integers(0, 2**32)),
+            communities=data.draw(st.integers(1, channels)),
+            noise_scale=data.draw(scale), community_scale=data.draw(scale),
+            motif_amp=data.draw(st.sampled_from([-1.5, 0.0, 3.0])),
+            latent_scale=data.draw(st.sampled_from([-2.0, 0.0, 2.5])),
+            nonlinearity=nonlinearity, sign_flips=data.draw(st.booleans()))
+        samples, labels, onsets = reference.gen_synthetic(spec)
+        ds = gen_synthetic(spec)
+        assert ds.samples.tobytes() == samples.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert ds.meta["onsets"] == onsets.tolist()
+
+    def test_allocates_little_beyond_the_samples(self):
+        # the per-sample loop fills `samples` in place; a full-size or
+        # per-chunk temporary would show here. A small run first, so numpy's
+        # one-time lazy imports do not count.
+        gen_synthetic(small_spec())
+        tracemalloc.start()
+        try:
+            ds = gen_synthetic(SynthSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.samples.nbytes + 2**20
 
 
 class TestSplits:

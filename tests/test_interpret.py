@@ -409,6 +409,12 @@ class TestChannelActivation:
 
 
 class TestExportAll:
+    def test_failure_writes_no_file(self, tmp_path, sample_batch):
+        # the basis table fails after adjacency, hubs and saliency are computed
+        with pytest.raises(UsageError):
+            export_all(build_model(kan="affine"), *sample_batch, tmp_path, max_saliency_samples=2)
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_all_five_files(self, tmp_path, sample_batch):
         files = export_all(build_model(), *sample_batch, tmp_path, max_saliency_samples=4)
         assert files == ["adjacency.csv", "hubs.csv", "saliency.csv",
