@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import check_items
 from .errors import ConfigError, DimensionError, ValidationError
-from .layers import BatchNorm1d, CausalBranch, Dropout, check_mode, normalize, scale_shift
+from .layers import BatchNorm1d, CausalBranch, Dropout, Layer, check_mode, normalize, scale_shift
 from .tensor import (Tensor, accumulate_grad, as_tensor, elu, elu_into, grad_enabled, make_op,
                      matmul, taps_view)
 
@@ -32,7 +32,7 @@ from .tensor import (Tensor, accumulate_grad, as_tensor, elu, elu_into, grad_ena
 EVAL_BLOCK_BYTES = 3 << 18
 
 
-class AdjacencyParams:
+class AdjacencyParams(Layer):
     """Unconstrained learnable C x C matrix plus the degree clamp floor."""
 
     eps_deg = 1e-6
@@ -45,9 +45,6 @@ class AdjacencyParams:
         values = (np.zeros((channels, channels)) if rng is None
                   else rng.normal(0.0, self.init_scale, (channels, channels)))
         self.A = Tensor(values, requires_grad=True)
-
-    def named_parameters(self, prefix: str = ""):
-        return [(prefix + "A", self.A)]
 
 
 def normalize_adjacency(params: AdjacencyParams) -> Tensor:
@@ -114,7 +111,7 @@ def residual_postnorm(z: Tensor, x: Tensor, bn: BatchNorm1d, dropout: Dropout, m
     return dropout(elu(bn(z + x, mode)), mode)
 
 
-class MCRBlock:
+class MCRBlock(Layer):
     """Multi-scale causal branches, graph propagation, residual post-norm."""
 
     def __init__(self, channels: int, feat_dim: int, rng: np.random.Generator,
@@ -203,18 +200,3 @@ class MCRBlock:
             scale_shift(normalize(z, mean, inv, out=z), gamma, beta, out=z)
             elu_into(z, out[lo:lo + m].reshape(m, c, s * d))
         return out
-
-    def named_parameters(self, prefix: str = ""):
-        named = []
-        for i, branch in enumerate(self.branches):
-            named.extend(branch.named_parameters(f"{prefix}branches.{i}."))
-        named.extend(self.adjacency.named_parameters(prefix + "adjacency."))
-        named.extend(self.post_bn.named_parameters(prefix + "post_bn."))
-        return named
-
-    def named_buffers(self, prefix: str = ""):
-        named = []
-        for i, branch in enumerate(self.branches):
-            named.extend(branch.named_buffers(f"{prefix}branches.{i}."))
-        named.extend(self.post_bn.named_buffers(prefix + "post_bn."))
-        return named

@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import check
 from .errors import ConfigError, DimensionError
-from .layers import LinearLayer, layer_norm
+from .layers import Layer, LinearLayer, layer_norm
 from .tensor import Tensor, as_tensor, concat, cos, silu, sin, square, tanh
 
 BASIS_NAMES = ("h", "h2", "sin", "tanh")
@@ -39,7 +39,7 @@ def basis_expand(h: Tensor, harmonics: int = 0) -> Tensor:
     return concat(parts, axis=-1)
 
 
-class KanLayer:
+class KanLayer(Layer):
     """Projection -> layer norm -> SiLU -> basis expansion -> projection."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
@@ -67,13 +67,8 @@ class KanLayer:
     def __call__(self, x_flat: Tensor) -> Tensor:
         return self.out_proj(basis_expand(self.hidden_activations(x_flat), self.harmonics))
 
-    def named_parameters(self, prefix: str = ""):
-        return (self.in_proj.named_parameters(prefix + "in_proj.")
-                + [(prefix + "ln_gamma", self.ln_gamma), (prefix + "ln_beta", self.ln_beta)]
-                + self.out_proj.named_parameters(prefix + "out_proj."))
 
-
-class ClassifierHead:
+class ClassifierHead(Layer):
     """Affine map from the mapped feature space to class logits."""
 
     def __init__(self, in_dim: int, num_classes: int, rng: np.random.Generator):
@@ -82,6 +77,3 @@ class ClassifierHead:
 
     def __call__(self, features: Tensor) -> Tensor:
         return self.linear(features)
-
-    def named_parameters(self, prefix: str = ""):
-        return self.linear.named_parameters(prefix + "linear.")

@@ -33,7 +33,36 @@ def check_mode(mode: str) -> str:
     return mode
 
 
-class LinearLayer:
+class Layer:
+    """Names parameters and buffers by walking attributes in assignment order: a
+    Tensor is a parameter, a Layer or list of Layers is walked under "attr." or
+    "attr.{i}.", a buffer is an attribute named in BUFFERS. The names are the
+    checkpoint keys, in the order of AdamW's slots and the clip-norm sum. Nothing
+    is cached: batch norm assigns new running arrays at every train step."""
+
+    BUFFERS: tuple[str, ...] = ()
+
+    def named_parameters(self, prefix: str = "") -> list:
+        return self._walk(prefix, buffers=False)
+
+    def named_buffers(self, prefix: str = "") -> list:
+        return self._walk(prefix, buffers=True)
+
+    def _walk(self, prefix: str, buffers: bool) -> list:
+        named = []
+        for attr, value in vars(self).items():
+            if isinstance(value, Layer):
+                named += value._walk(f"{prefix}{attr}.", buffers)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Layer):
+                        named += item._walk(f"{prefix}{attr}.{i}.", buffers)
+            elif attr in self.BUFFERS if buffers else isinstance(value, Tensor):
+                named.append((prefix + attr, value))
+        return named
+
+
+class LinearLayer(Layer):
     """Affine map y = x @ W.T + b for inputs shaped (..., in_dim)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
@@ -49,9 +78,6 @@ class LinearLayer:
             raise DimensionError(f"linear: expected last dim {self.in_dim}, got {x.shape}")
         return x @ self.weight.transpose() + self.bias
 
-    def named_parameters(self, prefix: str = ""):
-        return [(prefix + "weight", self.weight), (prefix + "bias", self.bias)]
-
 
 def normalize(x: np.ndarray, mean: np.ndarray, inv: np.ndarray, out=None) -> np.ndarray:
     """(x - mean) * inv, written into `out` when it is given (it may be x)."""
@@ -65,13 +91,15 @@ def scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None)
     return np.add(out, beta, out=out)
 
 
-class BatchNorm1d:
+class BatchNorm1d(Layer):
     """Batch normalization over every axis except the channel axis (axis 1).
 
     Train mode normalizes with batch statistics (biased variance) and updates
     running statistics as running = (1 - momentum) * running + momentum * batch.
     Eval mode uses only the running statistics, which start at (0, 1).
     """
+
+    BUFFERS = ("running_mean", "running_var")
 
     def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
         self.channels = channels
@@ -132,12 +160,6 @@ class BatchNorm1d:
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
         return tuple(v.reshape(bshape) for v in (self.running_mean, inv, self.gamma.data, self.beta.data))
 
-    def named_parameters(self, prefix: str = ""):
-        return [(prefix + "gamma", self.gamma), (prefix + "beta", self.beta)]
-
-    def named_buffers(self, prefix: str = ""):
-        return [(prefix + "running_mean", self.running_mean), (prefix + "running_var", self.running_var)]
-
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis: (x - mean) / sqrt(var + eps) * gamma + beta."""
@@ -176,7 +198,7 @@ class Dropout:
         return x * Tensor(keep / (1.0 - self.rate))
 
 
-class CausalBranch:
+class CausalBranch(Layer):
     """One temporal branch on (N, S, D): left pad (k-1), Conv1D (D -> D),
     BatchNorm1D, ELU, Dropout.
 
@@ -205,10 +227,3 @@ class CausalBranch:
         y = conv1d(pad_left(x, self.kernel_size - 1), self.kernels, self.bias)
         y = self.bn(y.reshape(n * s, d), mode)
         return self.dropout(elu(y), mode).reshape(n, s, d)
-
-    def named_parameters(self, prefix: str = ""):
-        return ([(prefix + "kernels", self.kernels), (prefix + "bias", self.bias)]
-                + self.bn.named_parameters(prefix + "bn."))
-
-    def named_buffers(self, prefix: str = ""):
-        return self.bn.named_buffers(prefix + "bn.")

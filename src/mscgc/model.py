@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checks import check_fields, check_items
+from .checks import check, check_fields, check_items
 from .errors import ConfigError, DimensionError, NumericalError
 from .graph import MCRBlock
 from .kan import ClassifierHead, KanLayer, basis_names
-from .layers import LinearLayer, check_mode
+from .layers import Layer, LinearLayer, check_mode
 from .tensor import Tensor, as_tensor, no_grad
 
 PROVIDER_KINDS = ("stub_projection", "file_features")
@@ -77,7 +77,7 @@ class ModelConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-class FeatureProvider:
+class FeatureProvider(Layer):
     """Window-wise feature encoder standing in for the backbone."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -105,13 +105,8 @@ class FeatureProvider:
         flat = x.reshape(b * c * s, p)
         return self.stub(flat).reshape(b, c, s, self.d)
 
-    def named_parameters(self, prefix: str = ""):
-        if self.stub is None:
-            return []
-        return self.stub.named_parameters(prefix + "stub.")
 
-
-class MscgcKanModel:
+class MscgcKanModel(Layer):
     """Provider -> block -> flatten -> mapping -> classifier."""
 
     def __init__(self, cfg: ModelConfig):
@@ -188,6 +183,7 @@ class MscgcKanModel:
         exit, also on error. With `index`, reads the rows `samples[index]` in
         that order, one batch at a time. Raises NumericalError naming the first
         sample, by its row in `samples`, whose output is not all finite."""
+        batch_size = check("batch_size", batch_size, int, "[1, inf)")
         output = {"forward": "logits", "features": "features"}[stage]
         run = getattr(self, stage)  # looked up per call, so a patched method is the one run
         rows = len(samples) if index is None else len(index)
@@ -211,29 +207,14 @@ class MscgcKanModel:
         except DimensionError as exc:
             raise DimensionError(f"{name}: {exc}") from exc
 
-    def named_parameters(self):
-        named = self.provider.named_parameters("provider.")
-        if self.block is not None:
-            named.extend(self.block.named_parameters("block."))
-        named.extend(self.kan.named_parameters("kan."))
-        named.extend(self.clf.named_parameters("clf."))
-        return named
-
-    def named_buffers(self):
-        if self.block is None:
-            return []
-        return self.block.named_buffers("block.")
-
     def parameter_groups(self):
-        """Disjoint, exhaustive partition of trainable parameters.
-
-        Provider parameters form the "backbone" group (empty when frozen);
-        everything else is the "head" group.
-        """
-        backbone = [(n, p) for n, p in self.provider.named_parameters("provider.") if p.requires_grad]
-        head = [(n, p) for n, p in self.named_parameters()
-                if not n.startswith("provider.") and p.requires_grad]
-        return {"backbone": backbone, "head": head}
+        """Trainable parameters, split into the provider's "backbone" group
+        (empty when frozen) and the "head" group of everything else."""
+        groups = {"backbone": [], "head": []}
+        for name, p in self.named_parameters():
+            if p.requires_grad:
+                groups["backbone" if name.startswith("provider.") else "head"].append((name, p))
+        return groups
 
     def zero_grads(self) -> None:
         for _, p in self.named_parameters():

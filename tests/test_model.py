@@ -206,3 +206,21 @@ class TestEndToEndGradients:
         err = finite_diff_check(
             lambda *ps: softmax_cross_entropy(model.forward(x), labels), params)
         assert err < 1e-4
+
+
+class TestInferBatchSize:
+    @pytest.mark.parametrize("batch_size", [-1, 0, 2.5, True])
+    @pytest.mark.parametrize("call", ["predict_labels", "evaluate_model", "channel_activation"])
+    def test_batch_size_must_be_a_positive_integer(self, call, batch_size):
+        from mscgc.interpret import channel_activation
+        from mscgc.training import evaluate_model, predict_labels
+
+        model = MscgcKanModel(tiny_config())
+        x = np.random.default_rng(6).normal(size=(4, 3, 4, 4))
+        labels = np.array([0, 1, 2, 0])
+        run = {"predict_labels": lambda: predict_labels(model, x, batch_size),
+               "evaluate_model": lambda: evaluate_model(model, x, labels, 3, batch_size),
+               "channel_activation": lambda: channel_activation(model, x, labels, batch_size)}
+        with pytest.raises(ConfigError, match="batch_size"):
+            run[call]()
+        assert model.mode == "train"
