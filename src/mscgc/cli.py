@@ -30,7 +30,6 @@ from .errors import CompatibilityError, ConfigError, MscgcError, NumericalError,
 from .gradcheck import TOLERANCE, run_gradcheck
 from .interpret import export_all
 from .model import ABLATION_VARIANTS, MscgcKanModel
-from .tensor import clear_gradient_corruption, set_gradient_corruption
 from .training import DatasetBundle, evaluate_model, train_loop
 
 
@@ -136,9 +135,9 @@ def cmd_eval(args, overrides) -> int:
 def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
     """Train the four head variants over the given seeds.
 
-    Returns (rows, any_failed); each row carries per-seed metrics, means,
-    the seeds, and the variant's config hash. A failing variant is reported
-    in its row without stopping the others.
+    Returns (rows, any_failed); each row carries the seeds, each run's
+    metrics, config hash and checkpoint, the `;`-joined hashes and the
+    means. A failing variant is reported without stopping the others.
     """
     rows = []
     any_failed = False
@@ -149,13 +148,15 @@ def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
             variant.set("model.block", block_mode)
             variant.set("model.kan", kan_mode)
             variant.set("train.seed", int(seed))
-            row["config_hash"] = variant.model_config().config_hash()
+            model_cfg = variant.model_config()
+            checkpoint = f"ablate-{block_mode}-{kan_mode}-seed{seed}.ckpt"
             try:
-                model = MscgcKanModel(variant.model_config())
-                result = train_loop(model, bundle_factory(), variant.train_config(),
-                                    run_dir / f"ablate-{block_mode}-{kan_mode}-seed{seed}.ckpt")
+                result = train_loop(MscgcKanModel(model_cfg), bundle_factory(),
+                                    variant.train_config(), run_dir / checkpoint)
                 row["runs"].append({
                     "seed": int(seed),
+                    "config_hash": model_cfg.config_hash(),
+                    "checkpoint": checkpoint,
                     "ba": result.test_report.balanced_accuracy,
                     "kappa": result.test_report.kappa,
                     "wf1": result.test_report.weighted_f1,
@@ -164,6 +165,7 @@ def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
                 row["error"] = f"seed {seed}: {exc}"
                 any_failed = True
                 break
+        row["config_hash"] = ";".join(r["config_hash"] for r in row["runs"])
         if row["runs"] and row["error"] is None:
             for key in ("ba", "kappa", "wf1"):
                 row[key] = float(np.mean([r[key] for r in row["runs"]]))
@@ -198,7 +200,7 @@ def cmd_ablate(args, overrides) -> int:
                 row["config"],
                 ";".join(str(s) for s in row["seeds"]),
                 *(repr(row[key]) if key in row else "" for key in ("ba", "kappa", "wf1")),
-                row.get("config_hash", ""),
+                row["config_hash"],
                 row["error"] or "",
             ])
     (run_dir / "ablation.json").write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n",
@@ -230,18 +232,11 @@ def cmd_interpret(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check("--seed", args.seed, int, "[0, inf)")
-    if args.corrupt:
-        set_gradient_corruption(args.corrupt, 1.01)
-    try:
-        results = run_gradcheck(seed=args.seed)
-    finally:
-        clear_gradient_corruption()
-    all_ok = True
+    results = run_gradcheck(seed=args.seed, corrupt=args.corrupt)
     for name, err, ok in results:
         print(f"{name:24s} max_rel_err={err:.3e} {'PASS' if ok else 'FAIL'}")
-        all_ok &= ok
-    if not all_ok:
-        failing = [name for name, _, ok in results if not ok]
+    failing = [name for name, _, ok in results if not ok]
+    if failing:
         print(f"gradient check FAILED for: {', '.join(failing)}")
         return 1
     print(f"all {len(results)} layers below {TOLERANCE:g}")

@@ -28,6 +28,7 @@ from .model import ModelConfig, MscgcKanModel
 from .tensor import (
     Tensor,
     add,
+    backward_hook,
     concat,
     conv1d,
     elu,
@@ -77,7 +78,8 @@ def _check_pad_concat(rng):
 
 def _check_reduce_sum(rng):
     x = _rand(rng, 2, 3, 4)
-    return finite_diff_check(lambda t: reduce_sum(square(reduce_sum(t, [0, 2]))), x)
+    masks = [Tensor(np.eye(3)[j][:, None]) for j in range(3)]  # sum_j (sum_ik x_ijk)^2
+    return finite_diff_check(lambda t: sum(square(reduce_sum(t * m)) for m in masks), x)
 
 
 def _check_softmax_ce(rng):
@@ -196,11 +198,14 @@ CHECKS = [
 ]
 
 
-def run_gradcheck(seed: int = 0):
-    """Run every registered check; returns [(name, max_error, passed)]."""
+def run_gradcheck(seed: int = 0, corrupt: str | None = None):
+    """Run every registered check; returns [(name, max_error, passed)]. With
+    `corrupt`, each node the op of that name made scales its gradient by 1.01
+    before its rule runs, so every check through that op must fail."""
     results = []
-    for name, check in CHECKS:
-        rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        err = check(rng)
-        results.append((name, err, err < TOLERANCE))
+    with backward_hook(lambda node, grad: grad * 1.01 if node._op == corrupt else grad):
+        for name, check in CHECKS:
+            rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+            err = check(rng)
+            results.append((name, err, err < TOLERANCE))
     return results

@@ -26,7 +26,7 @@ from .errors import UsageError, ValidationError
 from .graph import normalize_adjacency
 from .kan import KanLayer, basis_expand
 from .model import MscgcKanModel
-from .tensor import Tensor, as_tensor, reduce_sum
+from .tensor import Tensor, as_tensor, backward_hook, reduce_sum
 
 
 @dataclass
@@ -58,10 +58,11 @@ def export_adjacency(model: MscgcKanModel):
 def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> SaliencyMap:
     """Gradient-weighted temporal saliency of one sample for one class.
 
-    The backward stops at the head's weights (`model.frozen_head`): only the
-    block output's gradient is kept and read, so no mapping or classifier weight
-    gradient is built; H is made a leaf where nothing upstream of it requires
-    grad. Every parameter's `.grad` is the caller's again on return or error.
+    The backward stops at the head's weights (`model.frozen_head`), so no
+    mapping or classifier weight gradient is built, and a backward hook copies
+    out the block output's gradient; H is made a leaf where nothing upstream
+    of it requires grad. Every parameter's `.grad` is the caller's again on
+    return or error.
     """
     x = as_tensor(sample)
     if x.ndim == 3:
@@ -80,17 +81,23 @@ def gradcam_temporal(model: MscgcKanModel, sample, target_class: int) -> Salienc
             h = model.features(x)
             if not h.requires_grad:
                 h = Tensor(h.data, requires_grad=True)
-            h.retain_grad()
             logits = model.head(h)
             mask = np.zeros(logits.shape)
             mask[0, target_class] = 1.0
-            target = reduce_sum(logits * Tensor(mask))
-            target.backward()
+            h_grad = []
+
+            def keep_h_grad(node, grad):
+                if node is h:
+                    h_grad.append(grad.copy())  # an interior H's rule hands views of it on
+                return grad
+
+            with backward_hook(keep_h_grad):
+                reduce_sum(logits * Tensor(mask)).backward()
     finally:
         for p, grad in held:
             p.grad = grad
     act = h.data[0]          # (C, S, D)
-    alpha = h.grad[0].mean(axis=1)                        # (C, D), pooled over windows
+    alpha = h_grad[0][0].mean(axis=1)                     # (C, D), pooled over windows
     per_channel = _rescale(np.maximum(np.einsum("cd,csd->cs", alpha, act), 0.0))
     temporal = _rescale(np.maximum(np.einsum("cd,csd->s", alpha, act), 0.0))
     return SaliencyMap(temporal, per_channel)

@@ -17,11 +17,16 @@ it over: it becomes the receiver's ``.grad``, or is added into the ``.grad``
 the receiver already holds, and the caller neither writes it afterwards nor
 hands it to a second receiver. ``backward`` takes an op output's gradient off
 the node and hands the array itself to the node's rule, so after a backward
-only leaves (parameters, inputs) and nodes marked with ``Tensor.retain_grad``
-hold a ``.grad``; a retained node keeps a copy. The view rules pass on views
-of their own ``g``, and ``add``, the one rule with two receivers for one
-array, copies ``g`` for its second operand when both would keep it whole. So
-a ``.grad`` shares memory with no other ``.grad`` and with no ``.data``.
+only leaves (parameters, inputs) hold a ``.grad``. The view rules pass on
+views of their own ``g``, and ``add``, the one rule with two receivers for
+one array, copies ``g`` for its second operand when both would keep it
+whole. So a ``.grad`` shares memory with no other ``.grad`` and with no
+``.data``.
+
+A ``backward_hook`` scope is the one seam into the replay: saliency copies the
+block output's gradient out through it, and ``gradcheck --corrupt`` scales
+one op's gradient there. A hook that keeps a gradient copies it, since the
+node's rule hands views of it on.
 """
 
 from __future__ import annotations
@@ -33,31 +38,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DimensionError,
-    UsageError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import DimensionError, UsageError, ValidationError, VerificationError
 
 _SEQ = itertools.count()
-
-# Verification hook: when set to (op_name, scale), backward replay multiplies
-# the incoming gradient of every node produced by that op by `scale`, i.e. the
-# op's backward rule is deliberately wrong. Used by the gradcheck gate to
-# prove it catches bad gradients. Never set this in production code.
-_CORRUPTION: tuple[str, float] | None = None
-
-
-def set_gradient_corruption(op_name: str, scale: float) -> None:
-    global _CORRUPTION
-    _CORRUPTION = (op_name, float(scale))
-
-
-def clear_gradient_corruption() -> None:
-    global _CORRUPTION
-    _CORRUPTION = None
-
 
 _GRAD_ENABLED = True
 
@@ -80,10 +63,28 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
+_BACKWARD_HOOK: Callable[[Tensor, np.ndarray], np.ndarray] | None = None
+
+
+@contextmanager
+def backward_hook(hook: Callable[[Tensor, np.ndarray], np.ndarray]):
+    """In the body, each backward calls `hook(node, grad)` for every node, leaves
+    included, that holds a gradient when the replay reaches it, and runs an op
+    node's rule on what the hook returns. The prior hook is restored on exit,
+    also on error, so scopes nest."""
+    global _BACKWARD_HOOK
+    prior = _BACKWARD_HOOK
+    _BACKWARD_HOOK = hook
+    try:
+        yield
+    finally:
+        _BACKWARD_HOOK = prior
+
+
 class Tensor:
     """N-dimensional float64 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_seq", "_retain")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -93,7 +94,6 @@ class Tensor:
         self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
         self._seq = next(_SEQ)
-        self._retain = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,14 +113,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def retain_grad(self) -> None:
-        """Keep this op output's `.grad` after `backward`; leaves keep theirs anyway."""
-        self._retain = True
-
     def backward(self) -> None:
-        """Populate the gradients of the leaves this scalar was computed from
-        and of the nodes marked with `retain_grad`; every other op output ends
-        with `.grad` None."""
+        """Populate the gradients of the leaves this scalar was computed from;
+        every op output ends with `.grad` None."""
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -135,29 +130,22 @@ class Tensor:
             nodes[id(node)] = node
             stack.extend(node._parents)
         order = sorted(nodes.values(), key=lambda n: n._seq, reverse=True)
-        # a retained gradient adds up across backwards, but its rule replays
-        # only what this backward sent it
-        held = [(n, n.grad) for n in order if n._retain]
-        for node, _ in held:
-            node.grad = None
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += 1.0
+        hook = _BACKWARD_HOOK
         for node in order:
-            if node._backward is None or node.grad is None:
-                continue
+            rule = node._backward
+            if rule is None and hook is None:
+                continue  # a leaf keeps its gradient
             grad = node.grad
-            # the rule gets the array itself, so a retained node changes no
-            # layout, and so no bit, upstream
-            node.grad = grad.copy() if node._retain else None
-            if _CORRUPTION is not None and node._op == _CORRUPTION[0]:
-                grad = grad * _CORRUPTION[1]
-            node._backward(grad)
-        for node, prior in held:
-            if prior is not None:
-                if node.grad is not None:
-                    prior += node.grad
-                node.grad = prior
+            if grad is None:
+                continue
+            if hook is not None:
+                grad = hook(node, grad)
+            if rule is not None:
+                node.grad = None
+                rule(grad)
 
     # -- operator sugar -------------------------------------------------
 
@@ -503,29 +491,14 @@ def taps_view(a: np.ndarray, k: int) -> np.ndarray:
     return sliding_window_view(a, k, axis=1).transpose(0, 1, 3, 2)
 
 
-def reduce_sum(x: Tensor, axes=None) -> Tensor:
-    """Sum over the given axes; axes=None means all, [] is identity."""
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum over all axes, to a 0-d tensor."""
     x = as_tensor(x)
-    if axes is None:
-        axes = list(range(x.ndim))
-    axes = [int(a) for a in (axes if isinstance(axes, (list, tuple)) else [axes])]
-    norm = []
-    for a in axes:
-        a = a + x.ndim if a < 0 else a
-        if a < 0 or a >= x.ndim:
-            raise DimensionError(f"reduce: axis {a} out of range for ndim {x.ndim}")
-        norm.append(a)
-    if len(set(norm)) != len(norm):
-        raise DimensionError(f"reduce: duplicate axes in {axes}")
-    ax = tuple(sorted(norm))
-    if not ax:
-        return x
-    keep_shape = tuple(1 if i in ax else s for i, s in enumerate(x.data.shape))
 
     def backward(g):
-        accumulate_grad(x, np.broadcast_to(g.reshape(keep_shape), x.data.shape).copy())
+        accumulate_grad(x, np.broadcast_to(g, x.data.shape).copy())
 
-    return make_op(x.data.sum(axis=ax), (x,), "reduce_sum", backward)
+    return make_op(x.data.sum(), (x,), "reduce_sum", backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

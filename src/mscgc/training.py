@@ -308,7 +308,7 @@ def train_loop(model: MscgcKanModel, bundle: DatasetBundle, cfg: TrainConfig,
     # checkpoint is restored; diagnostic for fitting capacity
     final_train = evaluate_model(model, bundle.samples, train_y, bundle.num_classes,
                                  cfg.eval_batch_size, train_idx)
-    load_checkpoint(checkpoint_path, model, optimizer)
+    load_checkpoint(checkpoint_path, model)  # the optimizer is dropped on return
     test_idx, test_y = bundle.take("test")
     if len(test_idx) == 0:
         raise ConfigError("test split must be nonempty")

@@ -10,7 +10,7 @@ import pytest
 
 from mscgc.cli import load_split, main
 from mscgc.config import RunConfig
-from mscgc.data import read_tensor, save_checkpoint, write_tensor
+from mscgc.data import read_checkpoint_header, read_tensor, save_checkpoint, write_tensor
 from mscgc.errors import MscgcError
 from mscgc.model import ModelConfig, MscgcKanModel
 
@@ -415,6 +415,26 @@ class TestAblate:
         for row in rows[1:]:
             assert float(row[2]) >= 0.0  # ba recorded
             assert row[5]  # config hash recorded
+
+    def test_each_seed_records_the_hash_of_its_own_checkpoint(self, workspace, tmp_path):
+        """The seed is part of the model config, so each seed's run has its own hash."""
+        _, _, config_file, data_dir = workspace
+        code = main(["ablate", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "ab"), "--run-name", "a", "--seeds", "0,1",
+                     "--train.epochs=1"])
+        assert code == 0
+        run_dir = tmp_path / "ab" / "a"
+        rows = json.loads((run_dir / "ablation.json").read_text())
+        with open(run_dir / "ablation.csv") as fh:
+            csv_rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(csv_rows) == 4
+        for row, csv_row in zip(rows, csv_rows):
+            assert [r["seed"] for r in row["runs"]] == [0, 1]
+            hashes = [read_checkpoint_header(run_dir / r["checkpoint"])["config_hash"]
+                      for r in row["runs"]]
+            assert [r["config_hash"] for r in row["runs"]] == hashes
+            assert hashes[0] != hashes[1]
+            assert csv_row[5] == row["config_hash"] == ";".join(hashes)
 
 
 class TestAblateErrors:

@@ -15,7 +15,7 @@ from mscgc.interpret import (
 )
 from mscgc.kan import ClassifierHead, KanLayer
 from mscgc.model import ModelConfig, MscgcKanModel
-from mscgc.tensor import Tensor, grad_enabled, no_grad, reduce_sum
+from mscgc.tensor import Tensor, backward_hook, grad_enabled, no_grad, reduce_sum
 from mscgc.training import evaluate_model
 
 
@@ -130,19 +130,27 @@ def head_parameters(model):
 
 def full_backward_maps(model, sample, target, leaf=False):
     """Both maps from a backward through the whole taped model, head weights
-    included, reading the block output's gradient; with `leaf`, H is made a
-    leaf that requires grad by hand."""
+    included, reading the block output's gradient as the replay reaches it;
+    with `leaf`, H is made a leaf that requires grad by hand."""
     with model.eval_mode():
         model.zero_grads()
         h = model.features(sample[None])
         if leaf:
             h = Tensor(h.data, requires_grad=True)
-        h.retain_grad()
         logits = model.head(h)
         mask = np.zeros(logits.shape)
         mask[0, target] = 1.0
-        reduce_sum(logits * Tensor(mask)).backward()
-    alpha = h.grad[0].mean(axis=1)
+        h_grad = []
+
+        def keep_h_grad(node, grad):
+            if node is h:
+                h_grad.append(grad.copy())
+            return grad
+
+        with backward_hook(keep_h_grad):
+            reduce_sum(logits * Tensor(mask)).backward()
+    [g] = h_grad
+    alpha = g[0].mean(axis=1)
     act = h.data[0]
 
     def rescale(cam):
@@ -190,12 +198,15 @@ class TestSaliencyThroughFrozenHead:
         received = []
         head = model.head
         monkeypatch.setattr(model, "head", lambda h: received.append(h) or head(h))
-        gradcam_temporal(model, sample_batch[0][0], 1)
+        seen = []
+        with backward_hook(lambda node, grad: seen.append(node) or grad):
+            sal = gradcam_temporal(model, sample_batch[0][0], 1)
+        assert seen == []  # saliency's own hook replaces the caller's inside it
         assert all(p.grad is None and p.requires_grad for p in head_parameters(model))
-        # the gradient still reaches the block output
+        # the gradient still reaches the block output, which keeps none of it
         [h] = received
-        assert h.grad is not None
-        assert np.abs(h.grad).sum() > 0
+        assert h.requires_grad and h.grad is None
+        assert sal.per_channel.any()
 
     def test_flags_restored_after_an_error_inside_the_scope(self, sample_batch):
         model = build_model()

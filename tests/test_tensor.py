@@ -15,8 +15,8 @@ from mscgc.layers import LinearLayer
 from mscgc.model import ModelConfig, MscgcKanModel
 from mscgc.tensor import (
     Tensor,
-    clear_gradient_corruption,
     add,
+    backward_hook,
     concat,
     conv1d,
     elu,
@@ -26,7 +26,6 @@ from mscgc.tensor import (
     no_grad,
     pad_left,
     reduce_sum,
-    set_gradient_corruption,
     silu,
     sin,
     softmax_cross_entropy,
@@ -120,8 +119,7 @@ class TestGradientLayout:
 
         def recording_call(layer, x):
             out = linear_call(layer, x)
-            out._parents[0].retain_grad()  # x @ W.T, before the bias is added
-            calls.append((layer, out))
+            calls.append((layer, out._parents[0]))  # x @ W.T, before the bias is added
             return out
 
         monkeypatch.setattr(LinearLayer, "__call__", recording_call)
@@ -129,13 +127,15 @@ class TestGradientLayout:
                           kan=kan, harmonics=harmonics, seed=2)
         model = MscgcKanModel(cfg)
         x = np.random.default_rng(3).normal(size=(8, 4, 3, 6))
-        softmax_cross_entropy(model.forward(x), np.arange(8) % 3).backward()
+        loss = softmax_cross_entropy(model.forward(x), np.arange(8) % 3)
+        hook, copies = copying_hook([product for _, product in calls])
+        with backward_hook(hook):
+            loss.backward()
         assert len(calls) == (4 if kan == "kan" else 3)
         for name, p in model.named_parameters():
             assert p.grad is not None and p.grad.flags.c_contiguous, name
-        for layer, out in calls:
-            product = out._parents[0]
-            g, x_in = product.grad, product._parents[0].data
+        for layer, product in calls:
+            g, x_in = copies[id(product)], product._parents[0].data
             expected = np.ascontiguousarray((x_in.T @ g).T)
             assert layer.weight.grad.tobytes() == expected.tobytes()
 
@@ -148,8 +148,9 @@ class TestGradientLayout:
     @pytest.mark.parametrize("kan", ["kan", "affine"])
     @pytest.mark.parametrize("harmonics", [0, 2])
     def test_gradients_own_their_buffers(self, monkeypatch, block, kan, harmonics):
-        """No .grad shares memory with another .grad or any .data, and handing
-        gradients over without a copy changes no gradient bit."""
+        """No .grad shares memory with another .grad or any .data, also while
+        the replay runs, and handing gradients over without a copy changes no
+        gradient bit."""
 
         def train_step():
             # default dropout 0.1, so dropout masks enter `mul` as constants
@@ -159,12 +160,13 @@ class TestGradientLayout:
             x = np.random.default_rng(3).normal(size=(8, 4, 3, 6))
             loss = softmax_cross_entropy(model.forward(x), np.arange(8) % 3)
             nodes = _reachable(loss)
-            for n in nodes:
-                n.retain_grad()  # so every gradient is compared, not just the leaves'
-            loss.backward()
-            return model, nodes
+            # every gradient is compared, not just the leaves'
+            hook, copies = copying_hook(nodes, owned_by=nodes)
+            with backward_hook(hook):
+                loss.backward()
+            return model, nodes, copies
 
-        model, nodes = train_step()
+        model, nodes, copies = train_step()
         for name, p in model.named_parameters():
             assert p.grad is not None and p.grad.flags.c_contiguous, name
         grads = [n.grad for n in nodes if n.grad is not None]
@@ -179,12 +181,33 @@ class TestGradientLayout:
 
         for module in (tensor, layers, graph):
             monkeypatch.setattr(module, "accumulate_grad", always_copy)
-        _, copied = train_step()
+        _, copied, copied_copies = train_step()
         assert [n._op for n in nodes] == [n._op for n in copied]
         for n, c in zip(nodes, copied):
-            assert (n.grad is None) == (c.grad is None), n._op
-            if n.grad is not None:
-                assert n.grad.shape == c.grad.shape and n.grad.tobytes() == c.grad.tobytes(), n._op
+            g, h = copies.get(id(n)), copied_copies.get(id(c))
+            assert (g is None) == (h is None), n._op
+            if g is not None:
+                assert g.shape == h.shape and g.tobytes() == h.tobytes(), n._op
+
+
+def copying_hook(nodes, owned_by=()):
+    """A backward hook that keeps a copy of the gradient each of `nodes` holds
+    when the replay reaches it, by id, and the dict it fills. Each gradient it
+    sees is checked to share memory with no gradient another of `owned_by`
+    holds and with no `.data` of theirs."""
+    wanted = {id(n) for n in nodes}
+    copies = {}
+
+    def hook(node, grad):
+        for other in owned_by:
+            assert not np.shares_memory(grad, other.data), (node._op, other._op)
+            if other is not node and other.grad is not None:
+                assert not np.shares_memory(grad, other.grad), (node._op, other._op)
+        if id(node) in wanted:
+            copies[id(node)] = grad.copy()
+        return grad
+
+    return hook, copies
 
 
 def _reachable(root: Tensor) -> list:
@@ -199,9 +222,9 @@ def _reachable(root: Tensor) -> list:
 
 
 class TestGradientOwnership:
-    """At the desk geometry, a backward leaves a gradient only on leaves and
-    retained nodes, and passing views of a gradient on without a copy changes
-    no parameter gradient bit."""
+    """At the desk geometry, a backward leaves a gradient only on leaves, a
+    hook retains a copy of any other, and passing views of a gradient on
+    without a copy changes no parameter gradient bit."""
 
     @staticmethod
     def desk_loss(batch=8):
@@ -214,22 +237,21 @@ class TestGradientOwnership:
         _, loss = self.desk_loss()
         ops = [n for n in _reachable(loss) if n._backward is not None]
         kept = {id(n) for n in ops[::3]}
-        for n in ops[::3]:
-            n.retain_grad()
-        loss.backward()
-        assert [(n._op, n.grad is not None) for n in ops] == [(n._op, id(n) in kept) for n in ops]
+        hook, copies = copying_hook(ops[::3])
+        with backward_hook(hook):
+            loss.backward()
+        assert all(n.grad is None for n in ops)
+        assert [(n._op, id(n) in copies) for n in ops] == [(n._op, id(n) in kept) for n in ops]
 
     def test_retained_gradient_shares_memory_with_no_other(self):
+        """Each op output's gradient, as the replay reaches it, is its own."""
         _, loss = self.desk_loss()
         nodes = _reachable(loss)
         retained = [n for n in nodes if n._backward is not None][1::2]
-        for n in retained:
-            n.retain_grad()
-        loss.backward()
-        grads = [n.grad for n in nodes if n.grad is not None]
-        for n in retained:
-            assert sum(np.shares_memory(n.grad, g) for g in grads) == 1, n._op
-            assert not any(np.shares_memory(n.grad, m.data) for m in nodes), n._op
+        hook, copies = copying_hook(retained, owned_by=nodes)
+        with backward_hook(hook):
+            loss.backward()
+        assert set(copies) == {id(n) for n in retained}
 
     def test_parameter_gradients_equal_copying_every_gradient(self, monkeypatch):
         model, loss = self.desk_loss()
@@ -290,6 +312,53 @@ class TestNoGrad:
         assert grad_enabled()
 
 
+class TestBackwardHook:
+    def test_sees_each_gradient_once_leaves_included_in_replay_order(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seen = []
+        with backward_hook(lambda node, grad: seen.append((node._op, grad.tolist())) or grad):
+            reduce_sum(square(x) * 3.0).backward()
+        assert seen == [("reduce_sum", 1.0), ("mul", [1.0, 1.0]), ("square", [3.0, 3.0]),
+                        ("leaf", [6.0, 12.0])]
+        assert x.grad.tolist() == [6.0, 12.0]
+
+    def test_rule_runs_on_the_array_the_hook_returns(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with backward_hook(lambda node, grad: grad * 2.0 if node._op == "square" else grad):
+            reduce_sum(square(x)).backward()
+        np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+    def test_nested_scope_restores_the_outer_hook(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        outer, inner = [], []
+        with backward_hook(lambda node, grad: outer.append(node._op) or grad):
+            with backward_hook(lambda node, grad: inner.append(node._op) or grad):
+                reduce_sum(square(x)).backward()
+            assert outer == [] and inner == ["reduce_sum", "square", "leaf"]
+            reduce_sum(square(x)).backward()
+        assert outer == inner
+
+    @pytest.mark.parametrize("raise_in", ["body", "hook"])
+    def test_hook_is_removed_after_an_error(self, raise_in):
+        seen = []
+
+        def hook(node, grad):
+            seen.append(node._op)
+            if raise_in == "hook":
+                raise ValueError("inside the hook")
+            return grad
+
+        with pytest.raises(ValueError):
+            with backward_hook(hook):
+                reduce_sum(square(Tensor([1.0], requires_grad=True))).backward()
+                raise ValueError("inside the scope")
+        seen.clear()
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        reduce_sum(square(x)).backward()
+        assert seen == []
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
 class TestConv1d:
     def test_hand_convolution(self):
         out = conv1d(Tensor([[[1.0], [2.0], [3.0], [4.0]]]), Tensor([[[0.0, 0.0, 1.0]]]),
@@ -325,18 +394,6 @@ class TestConv1d:
 class TestReduce:
     def test_hand_sum(self):
         assert reduce_sum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
-
-    def test_empty_axes_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert reduce_sum(x, []) is x
-
-    def test_duplicate_axis(self):
-        with pytest.raises(DimensionError):
-            reduce_sum(Tensor(np.zeros((2, 3))), [0, 0])
-
-    def test_out_of_range_axis(self):
-        with pytest.raises(DimensionError):
-            reduce_sum(Tensor(np.zeros((2, 3))), [5])
 
 
 class TestSoftmaxCrossEntropy:
@@ -440,17 +497,6 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [10.0, 12.0])
         np.testing.assert_array_equal(y.grad, [10.0, 12.0])
 
-    def test_retained_gradient_adds_up_and_its_rule_replays_each_pass_once(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        s = square(x)
-        s.retain_grad()
-        y = reduce_sum(s * 3.0)
-        y.backward()
-        np.testing.assert_array_equal(s.grad, [3.0, 3.0])
-        y.backward()
-        np.testing.assert_array_equal(s.grad, [6.0, 6.0])
-        np.testing.assert_array_equal(x.grad, [12.0, 24.0])
-
     def test_backward_is_called_without_arguments_in_src(self):
         """perfbench/spans.py wraps Tensor.backward as `backward(root)`, so a
         call that passes anything makes every traced benchmark run fail."""
@@ -499,11 +545,8 @@ class TestFiniteDiffCheck:
 
     def test_corruption_hook_is_caught(self):
         x = Tensor(np.random.default_rng(2).uniform(-2, 2, 6), requires_grad=True)
-        set_gradient_corruption("elu", 1.01)
-        try:
+        with backward_hook(lambda node, grad: grad * 1.01 if node._op == "elu" else grad):
             err = finite_diff_check(lambda t: reduce_sum(square(elu(t))), x)
-        finally:
-            clear_gradient_corruption()
         assert err > 1e-4
 
 

@@ -29,16 +29,20 @@ parent's interquartile range). Each metric with a bound gets a verdict:
 the parent's interquartile range exceeds the bound times its median, unless
 every change run beats every parent run. The summary printed at the end
 shows each verdict, then both sides' source line counts. The file is
-rewritten after every pair. Standard library only.
+rewritten after every pair. Stopped by SIGTERM, it stops the run in flight
+and every process that run started, removes the temporary directory and
+exits with status 143. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -117,14 +121,21 @@ def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: 
     cmd = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                      "--trace", str(trace)]
     start = time.perf_counter()
+    # in a session of its own, so that stopping it stops its children too
+    proc = subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
     try:
-        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
+        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"ok": False, "error": f"timed out after {RUN_TIMEOUT_S} s",
                 "wall_s": time.perf_counter() - start}
+    finally:
+        if proc.returncode is None:  # timed out, or this process is being stopped
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     record = {"ok": False, "returncode": proc.returncode, "wall_s": time.perf_counter() - start}
-    lines = proc.stdout.splitlines()
+    lines = stdout.splitlines()
     for line in lines:
         if line.startswith('{"provenance"'):
             prov = json.loads(line)["provenance"]
@@ -140,7 +151,7 @@ def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: 
                       failed=result["failed"],
                       metrics={k: v["value"] for k, v in result["metrics"].items()})
     else:
-        record["error"] = (proc.stderr or proc.stdout)[-2000:]
+        record["error"] = (stderr or stdout)[-2000:]
     return record
 
 
@@ -212,7 +223,13 @@ def write_json(path: Path, doc: dict) -> None:
     os.replace(tmp, path)
 
 
+def stop(signum, frame):
+    """Turn SIGTERM into SystemExit, so the cleanup in `main` runs."""
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, stop)
     args = parse_args(argv)
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
