@@ -132,12 +132,19 @@ def cmd_eval(args, overrides) -> int:
     return 0
 
 
+SCORES = ("ba", "kappa", "wf1")
+# ablation.csv columns after the first seven; deltas are paired with the baseline's seeds
+STAT_COLUMNS = [f"{key}_{stat}" for stats in (("std", "min", "max"), ("delta", "ahead"))
+                for key in SCORES for stat in stats]
+
+
 def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
     """Train the four head variants over the given seeds.
 
-    Returns (rows, any_failed); each row carries the seeds, each run's
-    metrics, config hash and checkpoint, the `;`-joined hashes and the
-    means. A failing variant is reported without stopping the others.
+    Returns (rows, any_failed); each row carries the seeds, each run's metrics,
+    config hash and checkpoint, the `;`-joined hashes, the means and the
+    STAT_COLUMNS (deltas after the first row, the baseline). A failing variant
+    is reported without stopping the others.
     """
     rows = []
     any_failed = False
@@ -167,8 +174,15 @@ def run_ablation(cfg: RunConfig, bundle_factory, seeds, run_dir: Path):
                 break
         row["config_hash"] = ";".join(r["config_hash"] for r in row["runs"])
         if row["runs"] and row["error"] is None:
-            for key in ("ba", "kappa", "wf1"):
-                row[key] = float(np.mean([r[key] for r in row["runs"]]))
+            for key in SCORES:
+                values = [r[key] for r in row["runs"]]
+                row[key] = float(np.mean(values))
+                row[f"{key}_std"] = float(np.std(values, ddof=1)) if len(values) > 1 else None
+                row[f"{key}_min"], row[f"{key}_max"] = float(min(values)), float(max(values))
+                if rows and key in rows[0]:  # paired with the baseline's runs
+                    diffs = [v - r[key] for v, r in zip(values, rows[0]["runs"])]
+                    row[f"{key}_delta"] = float(np.mean(diffs))
+                    row[f"{key}_ahead"] = sum(diff > 0 for diff in diffs)
         rows.append(row)
     return rows, any_failed
 
@@ -181,6 +195,8 @@ def cmd_ablate(args, overrides) -> int:
     except ValueError as exc:
         raise ConfigError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from exc
     check_items("--seeds", seeds, int, "[0, inf)")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds repeats a seed: {args.seeds!r}")
     # check both configs before anything is written
     cfg.model_config()
     cfg.train_config()
@@ -194,14 +210,15 @@ def cmd_ablate(args, overrides) -> int:
     rows, any_failed = run_ablation(cfg, bundle_factory, seeds, run_dir)
     with open(run_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["config", "seeds", "ba", "kappa", "wf1", "config_hash", "error"])
+        writer.writerow(["config", "seeds", *SCORES, "config_hash", "error", *STAT_COLUMNS])
         for row in rows:
             writer.writerow([
                 row["config"],
                 ";".join(str(s) for s in row["seeds"]),
-                *(repr(row[key]) if key in row else "" for key in ("ba", "kappa", "wf1")),
+                *(repr(row[key]) if key in row else "" for key in SCORES),
                 row["config_hash"],
                 row["error"] or "",
+                *("" if row.get(key) is None else repr(row[key]) for key in STAT_COLUMNS),
             ])
     (run_dir / "ablation.json").write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n",
                                            encoding="utf-8")

@@ -9,10 +9,10 @@ treats C as its channel axis, and the block output is a C-contiguous
 (B, C, S, D) whose (C, S, D) flatten is free too. `temporal_path`, kept for
 the causality checks, returns the fused branches as (B*C, D, S), time last.
 
-In eval mode inside a `no_grad` scope the block runs as plain numpy, a few
+Train mode, and eval mode inside a `no_grad` scope, run the block a few
 samples at a time, so each block's im2col and activations stay in cache
-(`MCRBlock._eval_blocks`). It calls the taped ops' own batch-norm and ELU
-helpers; train mode, and any forward that records a tape, runs per op.
+(`MCRBlock._blocks`): train as one tape node with a hand-written backward,
+eval as plain numpy. An eval forward that records a tape runs per op.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .layers import BatchNorm1d, CausalBranch, Dropout, Layer, check_mode, norma
 from .tensor import (Tensor, accumulate_grad, as_tensor, elu, elu_into, grad_enabled, make_op,
                      matmul, taps_view)
 
-# Im2col bytes per sample block of the tape-free eval forward: 3 desk samples
-# (200 KB each), whose im2col and activations fit a per-core L2 cache.
+# Im2col bytes per sample block of `MCRBlock._blocks`, train and eval alike: 3
+# desk samples (200 KB each), whose im2col and activations fit a per-core L2 cache.
 EVAL_BLOCK_BYTES = 3 << 18
 
 
@@ -152,51 +152,154 @@ class MCRBlock(Layer):
         f = as_tensor(f)
         view = self._temporal_view(f)
         b, c, s, d = f.shape
-        if mode == "eval" and not grad_enabled() and b * c > 1:
-            return Tensor(self._eval_blocks(f.data))
+        if mode == "train" or (not grad_enabled() and b * c > 1):
+            return self._blocks(f, normalize_adjacency(self.adjacency), mode == "train")
         fused = multiscale_fuse(view, self.branches, mode)
         a_hat = normalize_adjacency(self.adjacency)
         z = graph_propagate(fused.reshape(b, c, s * d), a_hat)
         h_sp = residual_postnorm(z, f.reshape(b, c, s * d), self.post_bn, self.post_dropout, mode)
         return h_sp.reshape(b, c, s, d)
 
-    def _eval_blocks(self, f: np.ndarray) -> np.ndarray:
-        """The eval block without a tape, m samples at a time: one left pad
-        of max(k) - 1, one tap-major im2col whose last k taps feed branch k,
-        then the taped path's operations in its order. Smaller blocks than
-        the batch are bitwise the taped output where the BLAS rounds a row
-        independently of the row count, as OpenBLAS does at D = 32 and 200
-        (not at every width). The taped `taps` of one sequence is a view
-        that numpy multiplies without BLAS, unlike this copied im2col, so a
-        block holds two sequences or more and a one-sequence batch runs per op.
-        """
+    def _blocks(self, f: Tensor, a_hat: Tensor, train: bool) -> Tensor:
+        """The block m samples at a time: one im2col per block, whose last k taps
+        feed branch k, then every branch's GEMM, norm, ELU and dropout, their
+        sum, A_hat, the residual and the post norm, ELU and dropout. Eval runs
+        each block through it all; its GEMMs see m samples whatever the batch,
+        so it is bitwise the per-op output where the BLAS rounds a row alike at
+        any row count (OpenBLAS does at D = 32 and 200; numpy multiplies the
+        per-op `taps` view of one sequence without BLAS, so that batch runs per
+        op). Train is one tape node that runs the blocks once per stage, with
+        batch statistics between."""
         b, c, s, d = f.shape
-        kmax = max(self.kernel_sizes)
+        ks, kmax, nk = self.kernel_sizes, max(self.kernel_sizes), len(self.kernel_sizes)
         m = min(b, max(EVAL_BLOCK_BYTES // (c * s * kmax * d * 8), -(-2 // c)))
-        branches = [(k * d, br.kernels.data.transpose(2, 1, 0).reshape(k * d, d), br.bias.data,
-                     br.bn.eval_affine(2)) for k, br in zip(self.kernel_sizes, self.branches)]
-        a_hat = normalize_adjacency(self.adjacency).data
-        mean, inv, gamma, beta = self.post_bn.eval_affine(3)
-        padded = np.zeros((m * c, s + kmax - 1, d))
-        windows = taps_view(padded, kmax)
-        cols = np.empty((m * c * s, kmax * d))
-        fused, scratch = np.empty((2, m * c * s, d))
-        out = np.empty(f.shape)
-        for lo in range(0, b, m):
-            lo = min(lo, b - m)
-            x = f[lo:lo + m]
-            padded[:, kmax - 1:] = x.reshape(m * c, s, d)
-            # branch k reads the last k taps of the max(k) window
-            cols.reshape(windows.shape)[...] = windows
-            for i, (width, w, bias, bn) in enumerate(branches):
-                y = cols[:, kmax * d - width:] @ w
-                y += bias
-                scale_shift(normalize(y, *bn[:2], out=y), *bn[2:], out=y)
-                elu_into(y, scratch if i else fused)
+        spans = [(lo, min(lo + m, b)) if train else (min(lo, b - m), min(lo, b - m) + m)
+                 for lo in range(0, b, m)]
+        norms = [br.bn for br in self.branches] + [self.post_bn]
+        drops = [br.dropout for br in self.branches] + [self.post_dropout]
+        keeps = [drop.mask(shape) if train else None
+                 for drop, shape in zip(drops, [(b * c * s, d)] * nk + [(b, c, s * d)])]
+        ws = [br.kernels.data.transpose(2, 1, 0).reshape(k * d, d) for k, br in zip(ks, self.branches)]
+        x_in, a, nb = f.data, a_hat.data, b if train else m
+        # whole batch (train) or one block (eval), in one buffer: conv outputs then
+        # x_hat, ELU outputs, the branch sum, Z + x then x_hat
+        acts = np.empty((2 * nk + 2, nb * c * s, d))
+        ys, es = acts[:nk], acts[nk:2 * nk]
+        fused, zs = (v.reshape(nb, c, s * d) for v in acts[2 * nk:])
+        out = np.empty((b, c, s * d))
+        post_e = out if keeps[-1] is None else np.empty_like(out)
+        padded, cols = np.zeros((m * c, s + kmax - 1, d)), np.empty((m * c * s, kmax * d))
+        windows, tmp = taps_view(padded, kmax), np.empty(m * c * s * d)
+
+        def at(lo, hi, per=c * s):  # rows of samples lo:hi in the arrays above
+            return slice(lo * per, hi * per) if train else slice(0, (hi - lo) * per)
+
+        def scratch(v):  # work space shaped like v
+            return tmp[:v.size].reshape(v.shape)
+
+        def im2col(lo, hi):
+            n = (hi - lo) * c
+            padded[:n, kmax - 1:] = x_in[lo:hi].reshape(n, s, d)
+            cols[:n * s].reshape(n, s, kmax, d)[...] = windows[:n]
+            return cols[:n * s]
+
+        def activate(i, v, rows, e_out, out):
+            """Norm i (the last: post norm) in place on v, affine, ELU into e_out, dropout into out."""
+            x = normalize(v, *stats[i][:2], out=v)
+            e = elu_into(scale_shift(x, *stats[i][2:], out=scratch(x) if train else x), e_out)
+            if keeps[i] is not None:
+                np.multiply(e, keeps[i][rows], out=out)
+                out *= 1.0 / (1.0 - drops[i].rate)
+            elif not np.may_share_memory(e, out):
+                out[...] = e
+
+        def conv(lo, hi):
+            x = im2col(lo, hi)
+            for k, w, br, y in zip(ks, ws, self.branches, ys):
+                y = np.matmul(x[:, (kmax - k) * d:], w, out=y[at(lo, hi)])
+                y += br.bias.data
+
+        def branch_sum(lo, hi):
+            r, q = at(lo, hi), at(lo, hi, 1)
+            fz = fused[q].reshape(-1, d)
+            for i, y in enumerate(ys):
+                t = scratch(fz) if i else fz
+                activate(i, y[r], r, es[i][r] if train else t, t)
                 if i:
-                    fused += scratch
-            z = a_hat @ fused.reshape(m, c, s * d)
-            z += x.reshape(m, c, s * d)
-            scale_shift(normalize(z, mean, inv, out=z), gamma, beta, out=z)
-            elu_into(z, out[lo:lo + m].reshape(m, c, s * d))
-        return out
+                    fz += t
+            z = np.matmul(a, fused[q], out=zs[q])
+            z += x_in[lo:hi].reshape(z.shape)
+
+        def post(lo, hi):
+            activate(nk, zs[at(lo, hi, 1)], slice(lo, hi), post_e[lo:hi], out[lo:hi])
+
+        if not train:
+            stats = [bn.eval_affine(2) for bn in norms[:-1]] + [self.post_bn.eval_affine(3)]
+            for span in spans:
+                conv(*span), branch_sum(*span), post(*span)
+            return Tensor(out.reshape(b, c, s, d))
+        for phase in (conv, branch_sum, post):
+            for span in spans:
+                phase(*span)
+            if phase is conv:
+                stats = [bn.train_affine(y, (0,)) for bn, y in zip(norms, ys)]
+            elif phase is branch_sum:
+                stats.append(self.post_bn.train_affine(zs, (0, 2)))
+
+        def backward(g):
+            dz = np.require(g, np.float64, ("C", "W")).reshape(b, c, s * d)
+            sums = [np.zeros((2, *st[0].shape)) for st in stats]  # per norm: sum of du, of du * x_hat
+
+            def grad_in(i, g, e, rows, xhat, out, axes):  # g at norm i's dropout output to its affine output
+                t = np.minimum(e, 0.0, out=scratch(out))
+                t += 1.0  # the ELU slope
+                np.multiply(g, t, out=out)
+                if keeps[i] is not None:
+                    out *= keeps[i][rows]
+                    out *= 1.0 / (1.0 - drops[i].rate)
+                sums[i][0] += out.sum(axis=axes, keepdims=True)
+                sums[i][1] += np.multiply(out, xhat, out=t).sum(axis=axes, keepdims=True)
+
+            def grad_out(i, du, xhat, count):  # du at norm i's affine output, in place, to its input's
+                du -= sums[i][0] / count
+                du -= np.multiply(xhat, sums[i][1] / count, out=scratch(du))
+                du *= stats[i][2] * stats[i][1]
+
+            for lo, hi in spans:
+                grad_in(nk, dz[lo:hi], post_e[lo:hi], slice(lo, hi), zs[lo:hi], dz[lo:hi], (0, 2))
+            dus = np.empty((nk, b * c * s, d))  # each branch's conv output gradient
+            for lo, hi in spans:
+                r, dzb = at(lo, hi), dz[lo:hi]
+                grad_out(nk, dzb, zs[lo:hi], b * s * d)
+                dfz = (a.T @ dzb).reshape(-1, d)
+                for i in range(nk):
+                    grad_in(i, dfz, es[i][r], r, ys[i][r], dus[i][r], 0)
+            accumulate_grad(a_hat, np.matmul(dz, fused.transpose(0, 2, 1)).sum(axis=0))  # dz = dL/dZ here
+            # each branch's w.T on its last k taps, zero on the taps before
+            w_cat = np.concatenate([np.pad(w.T, ((0, 0), ((kmax - k) * d, 0))) for k, w in zip(ks, ws)])
+            d_w, d_bias, d_cols = np.zeros_like(w_cat), np.zeros(nk * d), np.empty_like(cols)
+            d_ys = np.empty((len(cols), nk * d))
+            for lo, hi in spans:
+                r, n, x = at(lo, hi), (hi - lo) * c, im2col(lo, hi)
+                for i in range(nk):
+                    grad_out(i, dus[i][r], ys[i][r], b * c * s)
+                dy = np.concatenate([du[r] for du in dus], axis=1, out=d_ys[:n * s])
+                d_bias += dy.sum(axis=0)
+                d_w += dy.T @ x
+                dc = np.matmul(dy, w_cat, out=d_cols[:n * s]).reshape(n, s, kmax, d)
+                # col2im: tap j of output step t reads input step t + j - (kmax - 1)
+                dx = dz[lo:hi].reshape(n, s, d)
+                for j in range(max(0, kmax - s), kmax):
+                    dx[:, :s - (kmax - 1 - j)] += dc[:, kmax - 1 - j:, j]
+            accumulate_grad(f, dz.reshape(b, c, s, d))
+            for i, (k, br) in enumerate(zip(ks, self.branches)):
+                kernels = d_w[i * d:(i + 1) * d, (kmax - k) * d:].reshape(d, k, d).transpose(0, 2, 1)
+                accumulate_grad(br.kernels, np.ascontiguousarray(kernels))
+                accumulate_grad(br.bias, d_bias[i * d:(i + 1) * d])
+            for norm, (d_beta, d_gamma) in zip(norms, sums):
+                accumulate_grad(norm.gamma, d_gamma.reshape(-1))
+                accumulate_grad(norm.beta, d_beta.reshape(-1))
+
+        params = [p for br in self.branches for p in (br.kernels, br.bias, br.bn.gamma, br.bn.beta)]
+        return make_op(out.reshape(b, c, s, d), (f, a_hat, *params, self.post_bn.gamma, self.post_bn.beta),
+                       "mcr_block", backward)

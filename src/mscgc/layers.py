@@ -119,23 +119,9 @@ class BatchNorm1d(Layer):
             raise DimensionError(f"batch norm: expected channels {self.channels} on axis 1, got {x.shape}")
         axes = tuple(a for a in range(x.ndim) if a != 1)
         gamma, beta = self.gamma, self.beta
-        if mode == "train":
-            count = x.size // self.channels
-            if count < 2:
-                raise ValidationError("batch norm train mode needs at least 2 values per channel")
-            mean = x.data.mean(axis=axes, keepdims=True)
-            centered = x.data - mean
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(self.channels)
-            self.running_var = (1 - m) * self.running_var + m * var.reshape(self.channels)
-            inv = 1.0 / np.sqrt(var + self.eps)
-            xhat = centered
-            xhat *= inv
-            gamma_b, beta_b = (p.data.reshape(mean.shape) for p in (gamma, beta))
-        else:
-            mean, inv, gamma_b, beta_b = self.eval_affine(x.ndim)
-            xhat = normalize(x.data, mean, inv)
+        mean, inv, gamma_b, beta_b = (self.train_affine(x.data, axes) if mode == "train"
+                                      else self.eval_affine(x.ndim))
+        xhat = normalize(x.data, mean, inv)
 
         def backward(g):
             accumulate_grad(gamma, (g * xhat).sum(axis=axes))
@@ -152,6 +138,19 @@ class BatchNorm1d(Layer):
                 accumulate_grad(x, dx)
 
         return make_op(scale_shift(xhat, gamma_b, beta_b), (x, gamma, beta), "batch_norm", backward)
+
+    def train_affine(self, x: np.ndarray, axes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """Like `eval_affine`, from the batch statistics of x over `axes`, which update the running ones."""
+        if x.size // self.channels < 2:
+            raise ValidationError("batch norm train mode needs at least 2 values per channel")
+        mean = x.mean(axis=axes, keepdims=True)
+        centered = x - mean
+        var = np.square(centered, out=centered).mean(axis=axes, keepdims=True)
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(self.channels)
+        self.running_var = (1 - m) * self.running_var + m * var.reshape(self.channels)
+        return (mean, 1.0 / np.sqrt(var + self.eps),
+                *(p.data.reshape(mean.shape) for p in (self.gamma, self.beta)))
 
     def eval_affine(self, ndim: int) -> tuple[np.ndarray, ...]:
         """Running mean, 1 / sqrt(running_var + eps), gamma and beta, shaped to
@@ -190,12 +189,13 @@ class Dropout:
         self.rate = check("dropout rate", rate, float, "[0, 1)")
         self.rng = rng
 
+    def mask(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """The keep mask of one train-mode call on `shape`; None, drawing nothing, at rate 0."""
+        return None if self.rate == 0.0 else self.rng.random(shape) >= self.rate
+
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        check_mode(mode)
-        if mode == "eval" or self.rate == 0.0:
-            return x
-        keep = self.rng.random(x.shape) >= self.rate
-        return x * Tensor(keep / (1.0 - self.rate))
+        keep = None if check_mode(mode) == "eval" else self.mask(x.shape)
+        return x if keep is None else x * Tensor(keep / (1.0 - self.rate))
 
 
 class CausalBranch(Layer):

@@ -437,6 +437,50 @@ class TestAblate:
             assert csv_row[5] == row["config_hash"] == ";".join(hashes)
 
 
+    def test_spread_over_seeds_and_paired_deltas_from_baseline(self, workspace, tmp_path):
+        _, _, config_file, data_dir = workspace
+        code = main(["ablate", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "ab"), "--run-name", "a", "--seeds", "2,0,1",
+                     "--train.epochs=1"])
+        assert code == 0
+        run_dir = tmp_path / "ab" / "a"
+        rows = json.loads((run_dir / "ablation.json").read_text())
+        with open(run_dir / "ablation.csv") as fh:
+            header, *csv_rows = list(csv.reader(fh))
+        stats = [f"{key}_{stat}" for key in ("ba", "kappa", "wf1") for stat in ("std", "min", "max")]
+        deltas = [f"{key}_{stat}" for key in ("ba", "kappa", "wf1") for stat in ("delta", "ahead")]
+        assert header == ["config", "seeds", "ba", "kappa", "wf1", "config_hash", "error",
+                          *stats, *deltas]
+        baseline = rows[0]
+        assert baseline["config"] == "Baseline (CBraMod+Linear)"
+        for row, csv_row in zip(rows, csv_rows):
+            for key in ("ba", "kappa", "wf1"):
+                values = [r[key] for r in row["runs"]]
+                assert row[key] == float(np.mean(values))
+                assert row[f"{key}_std"] == pytest.approx(np.std(values, ddof=1), abs=1e-15)
+                assert (row[f"{key}_min"], row[f"{key}_max"]) == (min(values), max(values))
+                if row is baseline:
+                    assert f"{key}_delta" not in row and f"{key}_ahead" not in row
+                    continue
+                diffs = [r[key] - b[key] for r, b in zip(row["runs"], baseline["runs"])]
+                assert row[f"{key}_delta"] == pytest.approx(np.mean(diffs), abs=1e-15)
+                assert row[f"{key}_ahead"] == sum(diff > 0 for diff in diffs)
+            cells = dict(zip(header, csv_row))
+            for column in stats + deltas:
+                assert cells[column] == ("" if column not in row else repr(row[column]))
+
+    def test_one_seed_has_no_sample_std(self, workspace, tmp_path):
+        _, _, config_file, data_dir = workspace
+        code = main(["ablate", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "ab"), "--run-name", "a", "--seeds", "0",
+                     "--train.epochs=1"])
+        assert code == 0
+        rows = json.loads((tmp_path / "ab" / "a" / "ablation.json").read_text())
+        assert all(row["ba_std"] is None and row["ba_min"] == row["ba_max"] == row["ba"]
+                   for row in rows)
+        assert all(row["ba_ahead"] in (0, 1) for row in rows[1:])
+
+
 class TestAblateErrors:
     def test_non_integer_seeds_exit_2(self, workspace, tmp_path, capsys):
         _, _, config_file, data_dir = workspace
@@ -444,6 +488,14 @@ class TestAblateErrors:
                      "--out", str(tmp_path / "ab"), "--seeds=a"])
         assert code == 2
         assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "ab").exists()
+
+    def test_repeated_seed_exits_2_before_run_dir(self, workspace, tmp_path, capsys):
+        _, _, config_file, data_dir = workspace
+        code = main(["ablate", "--config", str(config_file), "--data", str(data_dir),
+                     "--out", str(tmp_path / "ab"), "--seeds=0,1,0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --seeds repeats a seed")
         assert not (tmp_path / "ab").exists()
 
 
@@ -619,6 +671,12 @@ class TestGradcheckCommand:
         failed = capsys.readouterr().out.splitlines()[-1]
         for name in ("normalize_adjacency", "graph_propagate", "mcr_block", "full_model"):
             assert name in failed
+
+    def test_corrupted_train_block_fails_the_checks_through_it(self, capsys):
+        """The train-mode MCR block is one node, which the block and model checks reach."""
+        assert main(["gradcheck", "--corrupt", "mcr_block"]) == 1
+        failed = capsys.readouterr().out.splitlines()[-1]
+        assert failed == "gradient check FAILED for: mcr_block, full_model"
 
     def test_report_covers_each_layer_once(self, capsys):
         main(["gradcheck"])

@@ -206,6 +206,113 @@ class TestEvalBlocks:
         assert bare.tobytes() == taped.tobytes()
 
 
+def per_op_train(block, f):
+    """The block's train forward as the chain of taped ops the node replaces."""
+    b, c, s, d = f.shape
+    fused = multiscale_fuse(f.reshape(b * c, s, d), block.branches, "train")
+    z = graph_propagate(fused.reshape(b, c, s * d), normalize_adjacency(block.adjacency))
+    h = residual_postnorm(z, f.reshape(b, c, s * d), block.post_bn, block.post_dropout, "train")
+    return h.reshape(b, c, s, d)
+
+
+def train_step(block, forward, f, g):
+    """H, every gradient by name ("f" for the input), every buffer by name and
+    the dropout generator state after one train forward and backward of <H, g>."""
+    x = Tensor(f, requires_grad=True)
+    h = forward(block, x)
+    reduce_sum(h * Tensor(g)).backward()
+    grads = dict(block.named_parameters(), f=x)
+    return (h.data, {name: t.grad for name, t in grads.items()}, dict(block.named_buffers()),
+            block.post_dropout.rng.bit_generator.state)
+
+
+class TestTrainNode:
+    """In train mode the block is one tape node whose forward and backward run
+    m samples at a time. It matches the per-op chain it replaces to 1e-12 of
+    each array's largest entry, draws the same dropout masks, and updates the
+    same running statistics."""
+
+    @given(kernels=st.sampled_from([(1,), (5, 3), (2, 3, 7)]), b=st.integers(1, 5),
+           c=st.integers(1, 4), d=st.integers(1, 4), per_block=st.sampled_from([None, 0, 1, 2]),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_op_chain(self, kernels, b, c, d, per_block, data, seed):
+        s = data.draw(st.integers(1, max(kernels) + 2), label="s")
+        assume(b * c * s >= 2 and b * s * d >= 2)
+        f = np.random.default_rng(seed).normal(size=(2, b, c, s, d))
+        # per_block 0 patches blocks down to one sample (two sequences when C = 1)
+        budget = (graph.EVAL_BLOCK_BYTES if per_block is None
+                  else max(1, per_block * c * s * max(kernels) * d * 8))
+        with mock.patch.object(graph, "EVAL_BLOCK_BYTES", budget):
+            runs = [train_step(randomized_block(c, d, kernels, 0.3, np.random.default_rng(seed)),
+                               forward, f[0], f[1])
+                    for forward in (lambda blk, x: blk(x, "train"), per_op_train)]
+        (h, grads, buffers, state), (h_ref, grads_ref, buffers_ref, state_ref) = runs
+        assert state == state_ref
+        assert h.flags.c_contiguous
+        close(h, h_ref)
+        for name, ref in buffers_ref.items():
+            close(buffers[name], ref)
+        for name, ref in grads_ref.items():
+            assert grads[name].shape == ref.shape and grads[name].flags.c_contiguous, name
+            if name.endswith("bias") and "bn" not in name:
+                # a train-mode norm follows each conv, so the exact gradient is
+                # zero: both sides read rounding noise, which grows as the
+                # norm's batch variance shrinks
+                assert np.abs(grads[name]).max() <= 1e-10 and np.abs(ref).max() <= 1e-10, name
+            else:
+                close(grads[name], ref, name)
+
+    def test_one_node_over_f_adjacency_and_parameters(self, rng):
+        block = randomized_block(3, 4, (3, 5), 0.3, rng)
+        f = Tensor(rng.normal(size=(2, 3, 5, 4)), requires_grad=True)
+        h = block(f, "train")
+        assert h._op == "mcr_block" and h._parents[0] is f
+        assert h._parents[1]._op == "normalize_adjacency"
+        assert h._parents[2:] == tuple(p for _, p in block.named_parameters()
+                                       if not _.startswith("adjacency"))
+
+    def test_rate_zero_draws_nothing(self, rng):
+        block = randomized_block(3, 4, (3, 5), 0.0, rng)
+        f = Tensor(rng.normal(size=(2, 3, 5, 4)))
+        state = block.post_dropout.rng.bit_generator.state
+        block(f, "train")
+        assert block.post_dropout.rng.bit_generator.state == state
+
+    def test_finite_differences_with_dropout(self, rng):
+        block = randomized_block(3, 2, (3, 5), 0.3, rng)
+        f = Tensor(rng.uniform(-2, 2, (2, 3, 4, 2)), requires_grad=True)
+        state = block.post_dropout.rng.bit_generator.state
+
+        def loss(*_):
+            block.post_dropout.rng.bit_generator.state = state  # the same masks each time
+            return reduce_sum(square(block(f, "train")))
+
+        params = [f] + [p for _, p in block.named_parameters()]
+        assert finite_diff_check(loss, params) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (1, 3, 1, 1)])
+    def test_fewer_than_two_values_per_norm_channel(self, rng, shape):
+        block = MCRBlock(shape[1], shape[3], rng=rng)
+        with pytest.raises(ValidationError):
+            block(Tensor(rng.normal(size=shape)), "train")
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 4, 5, 2), (2, 3, 5, 3)])
+    def test_bad_shape(self, rng, shape):
+        with pytest.raises(DimensionError):
+            MCRBlock(3, 2, rng=rng)(Tensor(np.zeros(shape)), "train")
+
+
+def close(actual, expected, name=""):
+    """Equal to 1e-12 of the largest entry of `expected`, or of 1 where that is
+    smaller. Inputs, parameters and the loss's weights are of order 1, so a
+    gradient that cancels to near zero, such as A's at C = 1 (A_hat is the
+    constant 1) or any upstream of a norm over two values (its output is +-1
+    but for eps), is held to 1e-12 absolute."""
+    np.testing.assert_allclose(actual, expected, rtol=0,
+                               atol=1e-12 * max(np.abs(expected).max(), 1.0), err_msg=name)
+
+
 class TestGraphPropagate:
     def test_identity(self, rng):
         o = Tensor(rng.normal(size=(2, 3, 7)))
