@@ -12,7 +12,8 @@ the causality checks, returns the fused branches as (B*C, D, S), time last.
 Train mode, and eval mode inside a `no_grad` scope, run the block a few
 samples at a time, so each block's im2col and activations stay in cache
 (`MCRBlock._blocks`): train as one tape node with a hand-written backward,
-eval as plain numpy. An eval forward that records a tape runs per op.
+eval as plain numpy that, given the provider's `encode`, encodes the raw
+samples one block at a time. An eval forward that records a tape runs per op.
 """
 
 from __future__ import annotations
@@ -147,9 +148,16 @@ class MCRBlock(Layer):
         with time last; exposed for causality checks."""
         return multiscale_fuse(self._temporal_view(f), self.branches, mode).transpose((0, 2, 1))
 
-    def __call__(self, f: Tensor, mode: str) -> Tensor:
+    def __call__(self, f: Tensor, mode: str, encode=None) -> Tensor:
+        """H of a (B, C, S, D) input f; or, given the provider's `encode` (eval
+        under `no_grad` only), of raw (B, C, S, P) samples f, which a B*C > 1
+        batch encodes one sample block at a time inside `_blocks`."""
         check_mode(mode)
         f = as_tensor(f)
+        if encode is not None:
+            if f.shape[0] * f.shape[1] > 1:
+                return self._blocks(f, normalize_adjacency(self.adjacency), False, encode)
+            f = encode(f)
         view = self._temporal_view(f)
         b, c, s, d = f.shape
         if mode == "train" or (not grad_enabled() and b * c > 1):
@@ -160,17 +168,19 @@ class MCRBlock(Layer):
         h_sp = residual_postnorm(z, f.reshape(b, c, s * d), self.post_bn, self.post_dropout, mode)
         return h_sp.reshape(b, c, s, d)
 
-    def _blocks(self, f: Tensor, a_hat: Tensor, train: bool) -> Tensor:
+    def _blocks(self, f: Tensor, a_hat: Tensor, train: bool, encode=None) -> Tensor:
         """The block m samples at a time: one im2col per block, whose last k taps
         feed branch k, then every branch's GEMM, norm, ELU and dropout, their
         sum, A_hat, the residual and the post norm, ELU and dropout. Eval runs
-        each block through it all; its GEMMs see m samples whatever the batch,
-        so it is bitwise the per-op output where the BLAS rounds a row alike at
-        any row count (OpenBLAS does at D = 32 and 200; numpy multiplies the
-        per-op `taps` view of one sequence without BLAS, so that batch runs per
-        op). Train is one tape node that runs the blocks once per stage, with
-        batch statistics between."""
-        b, c, s, d = f.shape
+        each block through it all; its GEMMs see m samples whatever the batch
+        (the tail block shifts back to keep m), so it is bitwise the per-op
+        output where the BLAS rounds a row alike at any row count (OpenBLAS does
+        at D = 32 and 200; numpy multiplies the per-op `taps` view of one
+        sequence without BLAS, so that batch runs per op). Given `encode`, f
+        holds raw samples and each block encodes its own, so eval builds no
+        full-batch array but the output. Train is one tape node that runs the
+        blocks once per stage, with batch statistics between."""
+        (b, c, s), d = f.shape[:3], self.feat_dim
         ks, kmax, nk = self.kernel_sizes, max(self.kernel_sizes), len(self.kernel_sizes)
         m = min(b, max(EVAL_BLOCK_BYTES // (c * s * kmax * d * 8), -(-2 // c)))
         spans = [(lo, min(lo + m, b)) if train else (min(lo, b - m), min(lo, b - m) + m)
@@ -197,9 +207,13 @@ class MCRBlock(Layer):
         def scratch(v):  # work space shaped like v
             return tmp[:v.size].reshape(v.shape)
 
-        def im2col(lo, hi):
-            n = (hi - lo) * c
-            padded[:n, kmax - 1:] = x_in[lo:hi].reshape(n, s, d)
+        def rows(lo, hi):  # the input sequences of samples lo:hi, as (n, s, d)
+            return (x_in[lo:hi] if encode is None else
+                    self._temporal_view(encode(x_in[lo:hi])).data).reshape(-1, s, d)
+
+        def im2col(x):
+            n = len(x)
+            padded[:n, kmax - 1:] = x
             cols[:n * s].reshape(n, s, kmax, d)[...] = windows[:n]
             return cols[:n * s]
 
@@ -213,13 +227,13 @@ class MCRBlock(Layer):
             elif not np.may_share_memory(e, out):
                 out[...] = e
 
-        def conv(lo, hi):
-            x = im2col(lo, hi)
+        def conv(lo, hi, x):
+            x = im2col(x)
             for k, w, br, y in zip(ks, ws, self.branches, ys):
                 y = np.matmul(x[:, (kmax - k) * d:], w, out=y[at(lo, hi)])
                 y += br.bias.data
 
-        def branch_sum(lo, hi):
+        def branch_sum(lo, hi, x):
             r, q = at(lo, hi), at(lo, hi, 1)
             fz = fused[q].reshape(-1, d)
             for i, y in enumerate(ys):
@@ -228,19 +242,21 @@ class MCRBlock(Layer):
                 if i:
                     fz += t
             z = np.matmul(a, fused[q], out=zs[q])
-            z += x_in[lo:hi].reshape(z.shape)
+            z += x.reshape(z.shape)
 
-        def post(lo, hi):
+        def post(lo, hi, _):
             activate(nk, zs[at(lo, hi, 1)], slice(lo, hi), post_e[lo:hi], out[lo:hi])
 
         if not train:
             stats = [bn.eval_affine(2) for bn in norms[:-1]] + [self.post_bn.eval_affine(3)]
-            for span in spans:
-                conv(*span), branch_sum(*span), post(*span)
+            for lo, hi in spans:
+                x = rows(lo, hi)
+                for phase in (conv, branch_sum, post):
+                    phase(lo, hi, x)
             return Tensor(out.reshape(b, c, s, d))
         for phase in (conv, branch_sum, post):
-            for span in spans:
-                phase(*span)
+            for lo, hi in spans:
+                phase(lo, hi, rows(lo, hi))
             if phase is conv:
                 stats = [bn.train_affine(y, (0,)) for bn, y in zip(norms, ys)]
             elif phase is branch_sum:
@@ -280,7 +296,7 @@ class MCRBlock(Layer):
             d_w, d_bias, d_cols = np.zeros_like(w_cat), np.zeros(nk * d), np.empty_like(cols)
             d_ys = np.empty((len(cols), nk * d))
             for lo, hi in spans:
-                r, n, x = at(lo, hi), (hi - lo) * c, im2col(lo, hi)
+                r, n, x = at(lo, hi), (hi - lo) * c, im2col(rows(lo, hi))
                 for i in range(nk):
                     grad_out(i, dus[i][r], ys[i][r], b * c * s)
                 dy = np.concatenate([du[r] for du in dus], axis=1, out=d_ys[:n * s])

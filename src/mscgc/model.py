@@ -23,7 +23,7 @@ from .errors import ConfigError, DimensionError, NumericalError
 from .graph import MCRBlock
 from .kan import ClassifierHead, KanLayer, basis_names
 from .layers import Layer, LinearLayer, check_mode
-from .tensor import Tensor, as_tensor, no_grad
+from .tensor import Tensor, as_tensor, grad_enabled, no_grad
 
 PROVIDER_KINDS = ("stub_projection", "file_features")
 BLOCK_MODES = ("mcr", "identity")
@@ -93,13 +93,17 @@ class FeatureProvider(Layer):
         else:
             self.stub = None
 
-    def encode(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
+    def check(self, x: Tensor) -> None:
+        """Raise DimensionError unless x is (B, C, S, P)."""
         if x.ndim != 4:
             raise DimensionError(f"provider expects (B, C, S, P), got {x.shape}")
+        if x.shape[3] != self.p:
+            raise DimensionError(f"provider configured for P={self.p}, got P={x.shape[3]}")
+
+    def encode(self, x: Tensor) -> Tensor:
+        x = as_tensor(x)
+        self.check(x)
         b, c, s, p = x.shape
-        if p != self.p:
-            raise DimensionError(f"provider configured for P={self.p}, got P={p}")
         if self.kind == "file_features":
             return x
         flat = x.reshape(b * c * s, p)
@@ -160,8 +164,15 @@ class MscgcKanModel(Layer):
                 p.requires_grad = flag
 
     def features(self, x) -> Tensor:
-        """Provider, then block: the block output H as (B, C, S, D)."""
-        feats = self._stage("provider", self.provider.encode, as_tensor(x))
+        """Provider, then block: the block output H as (B, C, S, D). In eval
+        mode under `no_grad`, an MCR block takes the raw samples and the
+        provider's `encode`, and runs it one sample block at a time, so no
+        full-batch provider output is built."""
+        x = as_tensor(x)
+        if self.block is not None and self.mode == "eval" and not grad_enabled():
+            self._stage("provider", self.provider.check, x)
+            return self._stage("block", self.block, x, self.mode, self.provider.encode)
+        feats = self._stage("provider", self.provider.encode, x)
         return feats if self.block is None else self._stage("block", self.block, feats, self.mode)
 
     def head(self, h: Tensor) -> Tensor:

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: each end-to-end metric's verdict against its bound, the
-source line counts it prints, and what a SIGTERM leaves behind."""
+"""tools/bench_pairs.py: each end-to-end metric's verdict against its bound, when
+a gain is claimable, the summary lines it prints, and what a SIGTERM leaves
+behind."""
 
 import importlib.util
 import json
@@ -54,6 +55,28 @@ WIDE = [50.0, 100.0, 150.0, 80.0, 120.0]  # interquartile range 40 > 0.25 * 100
 ])
 def test_verdict(metric, parent, change, expected):
     assert verdict(metric, parent, change) == expected
+
+
+@pytest.mark.parametrize("parent_failed,change_failed,claimable", [
+    (0, 0, True), (2, 2, True), (2, 1, True), (0, 1, False), (1, 2, False)])
+def test_gain_claimable_only_without_a_larger_failed_share(parent_failed, change_failed,
+                                                           claimable):
+    records = runs("rate", TIGHT, [150.0, 151.0, 149.0, 152.0, 150.0])
+    for r in records:
+        r.update(attempted=100, failed=parent_failed if r["side"] == "parent" else change_failed)
+    row = bench_pairs.summarize(records, DECLARED, trace=0)["metrics"]["rate"]
+    assert (row["change_wins"], row["verdict"]) == (5, "within")
+    assert row["gain_claimable"] is claimable
+
+
+@pytest.mark.parametrize("change,ending", [
+    ([150.0, 151.0, 149.0, 152.0, 150.0], "  within  claimable"),
+    ([98.0, 100.0, 99.0, 101.0, 97.0], "  within"),
+])
+def test_summary_line_marks_a_claimable_gain_beside_the_verdict(change, ending):
+    row = bench_pairs.summarize(runs("rate", TIGHT, change), DECLARED, trace=0)["metrics"]["rate"]
+    line = bench_pairs.metric_line("rate", row, 5)
+    assert line.startswith("  rate ") and line.endswith(ending)
 
 
 def test_metrics_without_a_bound_get_no_verdict():

@@ -406,6 +406,16 @@ class TestPredictLabels:
 DESK = dict(C=16, S=10, D=32, P=24, M=4, hidden=48, out_dim=24)
 
 
+def perturb_norms(model, rng):
+    """Move every norm's affine parameters and running statistics off their
+    initial values, so eval reads them."""
+    for name, p in model.named_parameters():
+        if "gamma" in name or "beta" in name:
+            p.data[...] = rng.uniform(0.5, 1.5, p.shape)
+    for _, buf in model.named_buffers():
+        buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+
+
 class TestEvalWithoutTape:
     """Eval forwards run under `no_grad`: the same logits as a taped forward,
     and nothing of a tape is kept afterwards."""
@@ -436,11 +446,7 @@ class TestEvalWithoutTape:
         assert 11 > per_block and 11 % per_block
         model = MscgcKanModel(ModelConfig(**DESK, seed=3))
         rng = np.random.default_rng(8)
-        for name, p in model.named_parameters():
-            if "gamma" in name or "beta" in name:
-                p.data[...] = rng.uniform(0.5, 1.5, p.shape)
-        for _, buf in model.named_buffers():
-            buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+        perturb_norms(model, rng)
         x = rng.normal(size=(11, 16, 10, 24))
         with model.eval_mode():
             taped_block = model.features(x)
@@ -460,21 +466,25 @@ class TestEvalWithoutTape:
         assert h.shape == (4, 6, 8, model.cfg.D)
         assert h._parents == () and h._backward is None and not h.requires_grad
 
-    def test_eval_pass_peak_under_two_and_a_half_activations(self):
-        # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB; a
-        # full-batch im2col for the k=5 branch alone would be 52 MB, and
-        # keeping the previous batch's block output until the next forward
-        # has replaced it peaks at three activations
+    @staticmethod
+    def desk_eval_pass_peak():
+        """Tracemalloc peak of a desk `evaluate_model` pass over 512 samples at
+        batch 256, in (B, C, S, D) activations of 10.5 MB."""
         model = MscgcKanModel(ModelConfig(**DESK, seed=0))
         x = np.random.default_rng(7).normal(size=(512, 16, 10, 24))
-        activation = 256 * 16 * 10 * 32 * 8
         tracemalloc.start()
         try:
             evaluate_model(model, x, np.arange(512) % 4, 4, batch_size=256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * activation, f"{peak / 2**20:.1f} MB peak in an eval pass"
+        return peak / (256 * 16 * 10 * 32 * 8)
+
+    def test_eval_pass_peak_under_two_and_a_half_activations(self):
+        # a full-batch im2col for the k=5 branch alone would be 5 activations,
+        # and keeping the previous batch's block output until the next forward
+        # has replaced it peaks at three
+        assert self.desk_eval_pass_peak() <= 2.5
 
     def test_eval_pass_holds_about_one_batch(self):
         # desk geometry, batch 256: one (B, C, S, D) activation is 10.5 MB,
@@ -491,6 +501,71 @@ class TestEvalWithoutTape:
         finally:
             tracemalloc.stop()
         assert held <= 1.25 * activation, f"{held / 2**20:.1f} MB held after an eval pass"
+
+    def test_eval_pass_peak_under_one_and_a_half_activations(self):
+        # the provider runs one sample block at a time inside the block, so the
+        # block output is the only full-batch array; a full-batch provider
+        # output and its bias-added copy peaked at 2.18 activations
+        assert self.desk_eval_pass_peak() <= 1.5
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    def test_faced_shape_bitwise_equal_to_taped(self, batch):
+        model = MscgcKanModel(ModelConfig(C=32, S=10, D=200, P=200, M=9, hidden=64, out_dim=16,
+                                          seed=2))
+        rng = np.random.default_rng(9)
+        perturb_norms(model, rng)
+        x = rng.normal(size=(batch, 32, 10, 200))
+        with model.eval_mode():
+            taped_block = model.features(x)
+            taped = model.head(taped_block)
+            with no_grad():
+                bare_block = model.features(x)
+                bare = model.forward(x)
+        assert taped_block.requires_grad and not bare_block.requires_grad
+        assert bare_block.data.tobytes() == taped_block.data.tobytes()
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_file_features_samples_untouched_and_features_equal_to_taped(self):
+        # the provider hands back the caller's own samples, which the block
+        # then reads one sample block at a time
+        model = MscgcKanModel(ModelConfig(**{**DESK, "P": 32}, provider="file_features", seed=3))
+        rng = np.random.default_rng(10)
+        perturb_norms(model, rng)
+        x = rng.normal(size=(11, 16, 10, 32))
+        before = x.tobytes()
+        with model.eval_mode():
+            taped = model.features(x).data
+        for batch_size in (4, 11):
+            h = np.concatenate(model.infer(x, lambda h: h, "features", batch_size))
+            assert x.tobytes() == before
+            assert h.tobytes() == taped.tobytes()
+
+    @pytest.mark.parametrize("stage", ["forward", "features"])
+    def test_infer_errors_name_their_stage_and_sample(self, stage):
+        model = MscgcKanModel(ModelConfig(**DESK, seed=0))
+        rng = np.random.default_rng(4)
+        for shape in [(5, 16, 10, 23), (5, 16, 10)]:
+            with pytest.raises(DimensionError, match="^provider:"):
+                model.infer(rng.normal(size=shape), len, stage)
+        with pytest.raises(DimensionError, match="^block:"):
+            model.infer(rng.normal(size=(5, 15, 10, 24)), len, stage)
+        x = rng.normal(size=(9, 16, 10, 24))
+        x[6, 3, 2, 1] = np.nan
+        with pytest.raises(NumericalError, match="sample 6$"):
+            model.infer(x, len, stage, batch_size=4)
+
+    def test_desk_features_bitwise_equal_across_eval_batches(self):
+        # at desk the provider's and the block's GEMMs round a row alike at any
+        # row count, so H does not depend on the eval batch (the logits do:
+        # the head's GEMMs run on the whole batch)
+        model = MscgcKanModel(ModelConfig(**DESK, seed=1))
+        rng = np.random.default_rng(11)
+        perturb_norms(model, rng)
+        x = rng.normal(size=(256, 16, 10, 24))
+        whole = np.concatenate(model.infer(x, lambda h: h, "features", 256))
+        for batch_size in (1, 2, 7, 37, 64):
+            h = np.concatenate(model.infer(x, lambda h: h, "features", batch_size))
+            assert h.tobytes() == whole.tobytes(), f"eval batch {batch_size}"
 
 
 class TestTrainConfig:

@@ -24,14 +24,15 @@ median and quartiles (linear interpolation), the parent's interquartile
 range, the number of pairs the change wins (ties count for neither), the
 median gain, the benchmark's regression bound, and whether a gain is
 claimable (wins in at least nine tenths of the pairs, median gain above the
-parent's interquartile range). Each metric with a bound gets a verdict:
+parent's interquartile range, and no higher a share of failed operations
+than the parent's). Each metric with a bound gets a verdict:
 ``within`` or ``outside`` the bound by the medians, or ``unresolved`` where
 the parent's interquartile range exceeds the bound times its median, unless
 every change run beats every parent run. The summary printed at the end
-shows each verdict, then both sides' source line counts. The file is
-rewritten after every pair. Stopped by SIGTERM, it stops the run in flight
-and every process that run started, removes the temporary directory and
-exits with status 143. Standard library only.
+shows each verdict, marks each claimable gain, then both sides' source line
+counts. The file is rewritten after every pair. Stopped by SIGTERM, it stops
+the run in flight and every process that run started, removes the temporary
+directory and exits with status 143. Standard library only.
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ def summarize(runs: list[dict], declared: dict, trace: int) -> dict:
         out[side] = {"runs": len(done), "runs_failed": sum(not r["ok"] for r in done),
                      "attempted": sum(r.get("attempted", 0) for r in done),
                      "failed": sum(r.get("failed", 0) for r in done)}
+    share = {side: out[side]["failed"] / out[side]["attempted"] if out[side]["attempted"] else 0.0
+             for side in ("parent", "change")}
     metrics = {}
     for name, m in spec.items():
         if not complete or name not in complete[0]["parent"]["metrics"]:
@@ -197,7 +200,8 @@ def summarize(runs: list[dict], declared: dict, trace: int) -> dict:
             "ratio": cq[1] / pq[1] if pq[1] else None,
         }
         row["gain_claimable"] = (row["change_wins"] >= 0.9 * len(pairs)
-                                 and gain > row["parent_iqr"])
+                                 and gain > row["parent_iqr"]
+                                 and share["change"] <= share["parent"])
         if "bound" in m:
             row["bound"] = m["bound"]
             row["within_bound"] = -gain <= m["bound"] * abs(pq[1])
@@ -209,6 +213,14 @@ def summarize(runs: list[dict], declared: dict, trace: int) -> dict:
         metrics[name] = row
     out["metrics"] = metrics
     return out
+
+
+def metric_line(name: str, row: dict, complete_pairs: int) -> str:
+    """One metric of the closing summary: medians, wins, spread, verdict, claim."""
+    return (f"  {name:34s} parent {row['parent']['median']:.6g} change "
+            f"{row['change']['median']:.6g} wins {row['change_wins']}/{complete_pairs} "
+            f"iqr {row['parent_iqr']:.3g}" + (f"  {row['verdict']}" if "verdict" in row else "")
+            + ("  claimable" if row["gain_claimable"] else ""))
 
 
 def src_lines_summary(series: dict) -> str:
@@ -295,10 +307,7 @@ def main(argv=None) -> int:
     for workload, summary in series["workloads"].items():
         print(f"{workload}: {summary['complete_pairs']}/{summary['pairs']} pairs complete")
         for name, row in summary["metrics"].items():
-            print(f"  {name:34s} parent {row['parent']['median']:.6g} change "
-                  f"{row['change']['median']:.6g} wins {row['change_wins']}/"
-                  f"{summary['complete_pairs']} iqr {row['parent_iqr']:.3g}"
-                  + (f"  {row['verdict']}" if "verdict" in row else ""))
+            print(metric_line(name, row, summary["complete_pairs"]))
     print(src_lines_summary(series))
     return 0
 
